@@ -177,32 +177,6 @@ class Analysis:
     def store(self) -> ArtifactStore | None:
         return self._store
 
-    def trace_store(self):
-        """A :class:`repro.sim.persist.TraceStore` rooted inside this
-        analysis's artifact directory (compiled-trace snapshots ride
-        with the analysis), or ``None`` when unkeyed/storeless."""
-        if self._store is None or self.key is None:
-            return None
-        from ..sim.persist import TraceStore
-
-        return TraceStore(self._store.dir_for(self.key))
-
-    def attach_traces(self, machine) -> int:
-        """Revive persisted compiled traces (PR 6 snapshots) for a
-        machine loaded with this binary.  Returns traces materialized
-        (0 without a store)."""
-        ts = self.trace_store()
-        return ts.load(machine) if ts is not None else 0
-
-    def save_traces(self, machine) -> bool:
-        """Persist the machine's compiled traces next to the analysis
-        artifact.  Returns False without a store."""
-        ts = self.trace_store()
-        if ts is None:
-            return False
-        ts.save(machine)
-        return True
-
     # -- (de)serialization ----------------------------------------------
 
     def to_payload(self) -> dict:

@@ -532,9 +532,7 @@ class Machine:
         instret0, ucycles0 = self.instret, self.ucycles
         base = (traces.compiles, traces.invalidations, traces.links,
                 traces.hits, traces.mega_compiles, traces.jalr_hits[0],
-                traces.jalr_misses[0], traces.deopt_count[0],
-                traces.persist_loads, traces.persist_stores,
-                traces.persist_stale)
+                traces.jalr_misses[0], traces.deopt_count[0])
         self._count_hits = rec.enabled or bool(report)
         t0 = time.perf_counter()
         try:
@@ -553,9 +551,6 @@ class Machine:
             "jalr_guard_hits": traces.jalr_hits[0] - base[5],
             "jalr_guard_misses": traces.jalr_misses[0] - base[6],
             "deopts": traces.deopt_count[0] - base[7],
-            "persist.loads": traces.persist_loads - base[8],
-            "persist.stores": traces.persist_stores - base[9],
-            "persist.stale": traces.persist_stale - base[10],
         }
         if rec.enabled:
             rec.record_span("sim.run", elapsed)

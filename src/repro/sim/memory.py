@@ -9,8 +9,6 @@ instrumentation correctness.
 
 from __future__ import annotations
 
-import hashlib
-
 from .. import faults
 from ..errors import ReproError
 
@@ -32,18 +30,20 @@ class Memory:
     """Sparse byte-addressable memory."""
 
     __slots__ = ("_pages", "_cache_idx", "_cache_page",
-                 "_watch_lo", "_watch_hi", "_watch_ranges", "_watch_cb")
+                 "_watch_pages", "_watch_ranges", "_watch_cb")
 
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
         self._cache_idx = -1
         self._cache_page: bytearray | None = None
         # write-range notification (code-write detection): callback fired
-        # after any write overlapping a watched range.  [_watch_lo,
-        # _watch_hi) is the bounding box of all ranges — the hot-path
-        # store check is two comparisons for the common data write.
-        self._watch_lo = 0
-        self._watch_hi = 0
+        # after any write overlapping a watched range.  _watch_pages holds
+        # the index of every page a range touches: the hot-path store
+        # check is one set lookup, and stores to pages holding no code
+        # (.data, .bss, the instrumentation variables between .text and
+        # the trampolines) never take the slow path.  Compiled traces
+        # bind the set, so it is only ever mutated in place.
+        self._watch_pages: set[int] = set()
         self._watch_ranges: list[tuple[int, int]] = []
         self._watch_cb = None
 
@@ -57,11 +57,13 @@ class Memory:
         instructions and traces.  Pass ``callback=None`` to clear."""
         self._watch_ranges = [(lo, hi) for lo, hi in ranges]
         self._watch_cb = callback if self._watch_ranges else None
+        pages = self._watch_pages
+        pages.clear()
         if self._watch_cb is not None:
-            self._watch_lo = min(lo for lo, _ in self._watch_ranges)
-            self._watch_hi = max(hi for _, hi in self._watch_ranges)
-        else:
-            self._watch_lo = self._watch_hi = 0
+            for lo, hi in self._watch_ranges:
+                if hi > lo:
+                    pages.update(range(lo >> PAGE_BITS,
+                                       ((hi - 1) >> PAGE_BITS) + 1))
 
     def _notify_write(self, addr: int, n: int) -> None:
         end = addr + n
@@ -129,16 +131,6 @@ class Memory:
         page = self._pages.get(idx)
         return bytes(page) if page is not None else None
 
-    def page_hash(self, idx: int) -> str | None:
-        """sha256 hex digest of page *idx* (``None`` if unmapped) — the
-        content key for persistent compiled-trace metadata: a persisted
-        trace is only revived while every code page it spans still
-        hashes to the value recorded at save time."""
-        page = self._pages.get(idx)
-        if page is None:
-            return None
-        return hashlib.sha256(bytes(page)).hexdigest()
-
     # -- raw byte access -------------------------------------------------
 
     def _page(self, idx: int, addr: int) -> bytearray:
@@ -171,14 +163,16 @@ class Memory:
         n = len(data)
         base = addr
         pos = 0
+        watched = False
         while pos < n:
             idx = addr >> PAGE_BITS
             off = addr & PAGE_MASK
             chunk = min(n - pos, PAGE_SIZE - off)
             self._page(idx, addr)[off:off + chunk] = data[pos:pos + chunk]
+            watched = watched or idx in self._watch_pages
             addr += chunk
             pos += chunk
-        if base < self._watch_hi and base + n > self._watch_lo:
+        if watched:
             self._notify_write(base, n)
 
     # -- integer access (little-endian) ----------------------------------
@@ -201,7 +195,7 @@ class Memory:
             page = self._cache_page if idx == self._cache_idx \
                 else self._page(idx, addr)
             page[off:off + size] = value.to_bytes(size, "little")
-            if addr < self._watch_hi and addr + size > self._watch_lo:
+            if idx in self._watch_pages:
                 self._notify_write(addr, size)
             return
         self.write_bytes(addr, value.to_bytes(size, "little"))

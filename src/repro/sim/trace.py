@@ -34,15 +34,12 @@ straight to its compiled trace while the guard holds, deoptimising to
 the dispatch loop (and from there, if need be, the closure
 interpreter) on a miss.
 
-Tier 3 — persistence.  Compiled-trace *shapes* (generated source,
-chain-cell count, fault sync tables, body-closure sites, guard
-targets) can be serialized keyed by code-page content hashes and
-reloaded into a fresh machine running the same binary, skipping both
-the warmup profiling and the compile work (see
-:meth:`TraceCache.persist_save` / :meth:`TraceCache.persist_load` and
-:mod:`repro.sim.persist`).  A page whose content hash no longer
-matches rejects its traces, so patched or self-modified binaries fall
-back to demand compilation.
+Both tiers hand their generated source to :func:`compile_trace`, a
+process-wide bounded memo of CPython code objects keyed by (name,
+source): a repeat run of the same image — another ``Machine``, another
+session — skips only the ``compile()`` of an identical source string.
+The memo never changes what is emitted, invalidated or counted, and
+each trace is still ``exec``'d into its own fresh namespace.
 
 Patch safety
 ------------
@@ -77,6 +74,9 @@ stay on the per-pc closure interpreter.
 
 from __future__ import annotations
 
+import os
+import struct
+import threading
 from typing import TYPE_CHECKING
 
 from .. import faults
@@ -111,33 +111,64 @@ _MASK64 = (1 << 64) - 1
 
 PAGE_BITS = 12
 
-#: serialization format tag for persisted trace metadata
-PERSIST_FORMAT = "repro.trace-cache/1"
+#: entries kept by the process-wide compiled-code memo; an entry
+#: (source plus code object) is about 6 KB, so the memo stays near 12 MB
+CODE_MEMO_SIZE = 2048
 
 #: spill placeholder in generated megatrace source, expanded at build
 #: time once the trace's full written-register set is known
 _SPILL = "\x00SPILL"
 
 
-def _timing_key(timing) -> str:
-    """Fingerprint of the ucycle constants baked into generated code."""
-    import hashlib
-    parts = [timing.name, repr(timing.frequency_hz),
-             repr(timing.default_cost)]
-    parts += [f"{k}={timing.costs[k]!r}" for k in sorted(timing.costs)]
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+_code_memo: dict[tuple[str, str], object] = {}
+_code_memo_lock = threading.Lock()
+
+
+def _reset_memo_lock() -> None:
+    # a fork while another thread holds the lock (the service forks
+    # workers from a threaded parent) must not hand the child a held one
+    global _code_memo_lock
+    _code_memo_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_memo_lock)
+
+
+def compile_trace(src: str, name: str):
+    """``compile(src, name, "exec")`` through the process-wide LRU memo
+    (at most :data:`CODE_MEMO_SIZE` entries).  Code objects are
+    immutable, so sharing one between machines is safe: every caller
+    still ``exec``s it into a namespace of its own."""
+    key = (name, src)
+    with _code_memo_lock:
+        code = _code_memo.pop(key, None)
+        if code is None:
+            code = compile(src, name, "exec")
+        _code_memo[key] = code  # re-insert: most recently used last
+        if len(_code_memo) > CODE_MEMO_SIZE:
+            del _code_memo[next(iter(_code_memo))]
+    return code
+
+
+def clear_code_memo() -> None:
+    """Empty the compiled-code memo (benchmarks timing cold compiles)."""
+    with _code_memo_lock:
+        _code_memo.clear()
+
+
+#: binary64 codec the megatrace fld/fsd fast paths bind (``UD``/``PD``)
+_DOUBLE = struct.Struct("<d")
 
 
 def _base_ns(cache: "TraceCache") -> dict:
     """The namespace every generated trace function closes over (via
-    default arguments).  Shared between demand compilation and
-    persistent-cache materialization so persisted sources always find
-    their names."""
+    default arguments)."""
     m = cache.m
     return {
-        "m": m, "x": m.x, "fr": m.f, "W": m.mem,
+        "m": m, "x": m.x, "fr": m.f, "WP": m.mem._watch_pages,
         "ri": m.mem.read_int, "si": m.mem.write_int,
         "PG": m.mem._pages.get, "FB": int.from_bytes,
+        "UD": _DOUBLE.unpack_from, "PD": _DOUBLE.pack_into,
         "sx": _sx, "L": cache._link, "MT": cache._promote,
         "JM": cache._jalr_miss, "GH": cache.jalr_hits,
         "D": cache.deopt_count,
@@ -150,33 +181,27 @@ def _base_ns(cache: "TraceCache") -> dict:
 class Trace:
     """One compiled trace: its covered instruction spans plus function."""
 
-    __slots__ = ("entry", "end", "fn", "backrefs", "n_insns", "kind",
-                 "spans", "meta")
+    __slots__ = ("entry", "fn", "backrefs", "kind", "spans")
 
-    def __init__(self, entry: int, end: int, fn, n_insns: int,
-                 kind: str = "super", spans=None, meta=None):
+    def __init__(self, entry: int, fn, spans: list[tuple[int, int]],
+                 kind: str = "super"):
         self.entry = entry
-        self.end = end
         #: the compiled block function (``False`` marks a negative entry:
         #: the pc starts with an untraceable instruction)
         self.fn = fn
         #: chain cells (cells-list, index) that point at ``self.fn``;
         #: severed on invalidation
         self.backrefs: list[tuple[list, int]] = []
-        self.n_insns = n_insns
         #: "super" (tier-1 superblock) or "mega" (tier-2 loop trace)
         self.kind = kind
         #: merged [lo, hi) code intervals this trace compiled from; a
         #: superblock has one, a megatrace one per inlined stretch
-        self.spans: list[tuple[int, int]] = spans or [(entry, end)]
-        #: persistence record (None for negative entries and traces
-        #: carrying compiled-in event emits)
-        self.meta = meta
+        self.spans = spans
 
 
 class TraceCache:
-    """Tiered compiled-trace cache with range invalidation, chaining,
-    megatrace promotion and persistent metadata."""
+    """Tiered compiled-trace cache with range invalidation, chaining
+    and megatrace promotion."""
 
     def __init__(self, machine: "Machine", max_block: int = MAX_BLOCK,
                  mega: bool = True):
@@ -212,10 +237,6 @@ class TraceCache:
         #: early exits from compiled traces forced by invalidation
         #: (code_dirty after a store)
         self.deopt_count = [0]
-        # -- persistent-cache statistics
-        self.persist_loads = 0
-        self.persist_stores = 0
-        self.persist_stale = 0
 
     # -- management ------------------------------------------------------
 
@@ -319,13 +340,11 @@ class TraceCache:
         if built is None:
             self._no_mega.add(head)
             return self._link(cells, idx, head)
-        fn, spans, count, meta = built
+        fn, spans = built
         old = self._traces.get(head)
         if old is not None:
             self._drop(old)
-        end = max(hi for _, hi in spans)
-        tr = Trace(head, end, fn, count, kind="mega", spans=spans,
-                   meta=meta)
+        tr = Trace(head, fn, spans, kind="mega")
         self._register(tr)
         self.mega_compiles += 1
         cells[idx] = fn
@@ -361,12 +380,12 @@ class TraceCache:
         """
         faults.site("sim.trace.compile")
         try:
-            fn, end, count, meta = self._compile(pc)
+            fn, end = self._compile(pc)
         except (DecodeError, MemoryFault):
-            fn, end, count, meta = False, pc + 4, 0, None
+            fn = False
         if fn is False:
             end = pc + 4
-        tr = Trace(pc, end, fn, count, meta=meta)
+        tr = Trace(pc, fn, [(pc, end)])
         self._register(tr)
         if fn is not False:
             self.compiles += 1
@@ -388,31 +407,28 @@ class TraceCache:
                 instr = self._fetch(pc)
             except (DecodeError, MemoryFault):
                 if emit.count == 0:
-                    return False, pc, 0, None
+                    return False, pc
                 emit.finish_cut(pc, chain=False)
-                return emit.build(), pc, emit.count, emit.meta
+                return emit.build(), pc
             mn = instr.mnemonic
             if mn in BRANCH_OPS:
                 emit.emit_branch(pc, instr)
-                return (emit.build(), pc + instr.length, emit.count,
-                        emit.meta)
+                return emit.build(), pc + instr.length
             if mn == "jal":
                 emit.emit_jal(pc, instr)
-                return (emit.build(), pc + instr.length, emit.count,
-                        emit.meta)
+                return emit.build(), pc + instr.length
             if mn == "jalr":
                 emit.emit_jalr(pc, instr)
-                return (emit.build(), pc + instr.length, emit.count,
-                        emit.meta)
+                return emit.build(), pc + instr.length
             if not emit.emit_straight(pc, instr):
                 # untraceable (ecall/ebreak/fence/csr/amo/unknown)
                 if emit.count == 0:
-                    return False, pc, 0, None
+                    return False, pc
                 emit.finish_cut(pc, chain=False)
-                return emit.build(), pc, emit.count, emit.meta
+                return emit.build(), pc
             pc += instr.length
         emit.finish_cut(pc, chain=True)
-        return emit.build(), pc, emit.count, emit.meta
+        return emit.build(), pc
 
     def _walk(self, emit: "_MegaEmitter", head: int) -> None:
         """Drive one emission pass over the loop rooted at *head*:
@@ -466,7 +482,7 @@ class TraceCache:
         base-register writes) or that fails to re-establish itself by
         the back edge — either would be stale on the next iteration.
 
-        Returns ``(fn, spans, n_insns, meta)`` or ``None``."""
+        Returns ``(fn, spans)`` or ``None``."""
         emit = _MegaEmitter(self, head)
         self._walk(emit, head)
         if emit.count == 0:
@@ -494,139 +510,6 @@ class TraceCache:
                                and r not in emit.killed_fp}
         return emit.build_result()
 
-    # -- persistence -----------------------------------------------------
-
-    def persist_save(self) -> dict:
-        """Serialize every persistable compiled trace (shape + generated
-        source + sync tables + guard state) keyed by the content hashes
-        of the code pages it spans.  The result round-trips through JSON
-        and feeds :meth:`persist_load` on a fresh machine running the
-        same binary."""
-        mem = self.m.mem
-        pages: dict[int, str] = {}
-        records = []
-        for tr in self._traces.values():
-            meta = tr.meta
-            if not tr.fn or meta is None:
-                continue  # negative entry, dropped, or emit-carrying
-            tpages = sorted(self._pages_of(tr))
-            ok = True
-            for p in tpages:
-                if p not in pages:
-                    h = mem.page_hash(p)
-                    if h is None:
-                        ok = False
-                        break
-                    pages[p] = h
-            if not ok:
-                continue
-            rec = {
-                "entry": tr.entry, "end": tr.end, "n": tr.n_insns,
-                "spans": [list(s) for s in tr.spans],
-                "pages": tpages,
-                "kind": meta["kind"], "src": meta["src"],
-                "cells": meta["cells"],
-                "P": meta["P"], "U": meta["U"], "N": meta["N"],
-                "CF": meta.get("CF"), "FPP": meta.get("FPP"),
-                "bodies": meta["bodies"],
-                "hot": meta["hot"], "guard": meta["guard"],
-            }
-            if meta["guard"] and meta.get("_G") is not None:
-                rec["guard_target"] = meta["_G"][0]
-            records.append(rec)
-        self.persist_stores += len(records)
-        return {
-            "format": PERSIST_FORMAT,
-            "timing": _timing_key(self.m.timing),
-            "max_block": self.max_block,
-            "pages": {str(p): h for p, h in pages.items()},
-            "traces": records,
-        }
-
-    def persist_load(self, data: dict) -> int:
-        """Materialize traces from a :meth:`persist_save` snapshot into
-        this cache.  Every trace whose code pages all hash-match the
-        current memory image is compiled from its saved source (no
-        decode, no emission, no warmup counting); any page that was
-        patched since the save rejects its traces
-        (``trace.persist.stale``) and demand compilation takes over.
-        Call after ``load_image``/``load_program``; refuses to load
-        while a block-granularity event stream is attached (those
-        traces need compiled-in emits)."""
-        if self.m._trace_events:
-            return 0
-        traces = data.get("traces", [])
-        if (data.get("format") != PERSIST_FORMAT
-                or data.get("timing") != _timing_key(self.m.timing)
-                or data.get("max_block") != self.max_block):
-            self.persist_stale += len(traces)
-            return 0
-        mem = self.m.mem
-        ok_pages = set()
-        for key, saved_hash in data.get("pages", {}).items():
-            idx = int(key)
-            if mem.page_hash(idx) == saved_hash:
-                ok_pages.add(idx)
-        loaded = 0
-        for rec in traces:
-            entry = rec["entry"]
-            if entry in self.fns:
-                continue
-            if not all(p in ok_pages for p in rec["pages"]):
-                self.persist_stale += 1
-                continue
-            try:
-                fn, meta = self._materialize(rec)
-            except Exception:
-                self.persist_stale += 1
-                continue
-            tr = Trace(entry, rec["end"], fn, rec["n"],
-                       kind=rec["kind"],
-                       spans=[tuple(s) for s in rec["spans"]],
-                       meta=meta)
-            self._register(tr)
-            self.persist_loads += 1
-            loaded += 1
-        return loaded
-
-    def _materialize(self, rec: dict):
-        """exec() one persisted trace source against a freshly built
-        namespace (chain cells empty, guard restored, body closures
-        rebuilt by re-decoding their instructions)."""
-        ns = _base_ns(self)
-        ns["S"] = [None] * rec["cells"]
-        ns["P"] = tuple(rec["P"])
-        ns["U"] = tuple(rec["U"])
-        ns["N"] = tuple(rec["N"])
-        if rec.get("CF") is not None:
-            ns["CF"] = tuple(tuple(map(tuple, t)) for t in rec["CF"])
-        if rec.get("FPP") is not None:
-            ns["FPP"] = tuple(
-                tuple((p[0], p[1]) for p in t) for t in rec["FPP"])
-        for name, pc in rec["bodies"].items():
-            instr = self._fetch(pc)
-            body = build_body(self.m, pc, instr)
-            if body is None:
-                raise ValueError(f"unreplayable body at {pc:#x}")
-            ns[name] = body
-        if rec["hot"]:
-            ns["C"] = [0]
-        guard = None
-        if rec["guard"]:
-            guard = [rec.get("guard_target"), 0]
-            ns["G"] = guard
-        fname = "__mega__" if rec["kind"] == "mega" else "__trace__"
-        code = compile(rec["src"], f"<persist@{rec['entry']:#x}>",
-                       "exec")
-        env = dict(ns)
-        exec(code, env)
-        meta = {k: rec[k] for k in ("kind", "src", "cells", "P", "U",
-                                    "N", "bodies", "hot", "guard")}
-        meta["CF"] = rec.get("CF")
-        meta["FPP"] = rec.get("FPP")
-        meta["_G"] = guard
-        return env[fname], meta
-
 
 class _Emitter:
     """Generates the Python source of one superblock function."""
@@ -642,10 +525,6 @@ class _Emitter:
         self.cost = 0
         self.cells = 0
         self.has_hot = False
-        self.has_guard = False
-        self.has_emits = False
-        self.bodies: dict[str, int] = {}
-        self.meta: dict | None = None
         # fault side table: ip -> (pc, ucycles-before, instret-before)
         self.sync_pc = [entry]
         self.sync_cost = [0]
@@ -658,16 +537,14 @@ class _Emitter:
         m = self.m
         if m._trace_events and m._emit is not None:
             self.ns["EV"] = m._emit
-            self.has_emits = True
             self.lines.append(
                 f"EV((5, {entry:#x}, 0, m.instret, m.ucycles))")
 
     # -- helpers ---------------------------------------------------------
 
-    def _bind_body(self, body, pc: int) -> str:
+    def _bind_body(self, body) -> str:
         name = f"b{self.count}"
         self.ns[name] = body
-        self.bodies[name] = pc
         return name
 
     def _mark(self, pc: int) -> None:
@@ -745,7 +622,7 @@ class _Emitter:
         if body is None:
             return False
         self._mark(pc)
-        self.lines.append(f"{self._bind_body(body, pc)}()")
+        self.lines.append(f"{self._bind_body(body)}()")
         self._charge(mn, instr)
         return True
 
@@ -963,7 +840,6 @@ class _Emitter:
         self.lines.append("m.pc = t")
         # guard-based target specialization: remember the observed
         # target and chain straight to its trace while the guard holds
-        self.has_guard = True
         self.ns["G"] = [None, 0]
         k = self._chain_cell()
         self.lines.append("if t == G[0]:")
@@ -1004,17 +880,8 @@ class _Emitter:
             f"        m.instret += N[ip]\n"
             f"        raise\n"
         )
-        code = compile(src, f"<trace@{self.entry:#x}>", "exec")
         env = dict(self.ns)
-        exec(code, env)
-        if not self.has_emits:
-            self.meta = {
-                "kind": "super", "src": src, "cells": self.cells,
-                "P": list(self.sync_pc), "U": list(self.sync_cost),
-                "N": list(self.sync_count), "bodies": dict(self.bodies),
-                "hot": self.has_hot, "guard": self.has_guard,
-                "_G": self.ns.get("G"),
-            }
+        exec(compile_trace(src, f"<trace@{self.entry:#x}>"), env)
         return env["__trace__"]
 
 
@@ -1033,8 +900,6 @@ class _MegaEmitter:
         self.count = 0
         self.cost = 0
         self.cells = 0
-        self.guard_used = False
-        self.bodies: dict[str, int] = {}
         self.sync_pc = [entry]
         self.sync_cost = [0]
         self.sync_count = [0]
@@ -1078,7 +943,6 @@ class _MegaEmitter:
         #: warmup body lines once begin_fast moved emission over; the
         #: active ``self.lines`` then hold the steady-state body
         self.warm_lines: list[str] | None = None
-        self.warm_count = 0
         #: emission-state snapshots at each warmup close site — their
         #: agreement is what may be assumed at the loop top
         self.close_sites: list[tuple] = []
@@ -1378,7 +1242,6 @@ class _MegaEmitter:
         the warmup proved to hold at every loop-close site."""
         if not self.fast:
             self.warm_lines = self.lines
-            self.warm_count = self.count
             self.fast = True
         self.lines = []
         self.cost = 0
@@ -1405,8 +1268,7 @@ class _MegaEmitter:
         steady-state emission so a seed-kill can roll it back."""
         return {
             "cells": self.cells, "tmp": self._tmp,
-            "nc": self._next_const, "guard": self.guard_used,
-            "bodies": dict(self.bodies), "ns": set(self.ns),
+            "nc": self._next_const, "ns": set(self.ns),
             "localized": set(self.localized),
             "written": set(self.written),
             "sync": len(self.sync_pc),
@@ -1420,8 +1282,6 @@ class _MegaEmitter:
         self.cells = snap["cells"]
         self._tmp = snap["tmp"]
         self._next_const = snap["nc"]
-        self.guard_used = snap["guard"]
-        self.bodies = snap["bodies"]
         for k in set(self.ns) - snap["ns"]:
             del self.ns[k]
         self.localized = snap["localized"]
@@ -1526,7 +1386,6 @@ class _MegaEmitter:
         self.lines.append("m.pc = t")
         self.lines.append(f"m.ucycles += uc + {self.cost}")
         self.lines.append(f"m.instret += ir + {self.count}")
-        self.guard_used = True
         self.ns["G"] = [None, 0]
         k = self._chain_cell()
         self.lines.append("if t == G[0]:")
@@ -1561,7 +1420,7 @@ class _MegaEmitter:
         self._fp_flush()  # the body may read or write any fr slot
         self._mark(pc)
         self._spill_marker("")
-        self.lines.append(f"{self._bind_body(body, pc)}()")
+        self.lines.append(f"{self._bind_body(body)}()")
         rd = f.get("rd")
         if rd:
             self._clobber(rd)
@@ -1570,10 +1429,9 @@ class _MegaEmitter:
         self.mem_known.clear()  # the body may store anywhere
         return True
 
-    def _bind_body(self, body, pc: int) -> str:
+    def _bind_body(self, body) -> str:
         name = f"b{self.count}"
         self.ns[name] = body
-        self.bodies[name] = pc
         return name
 
     def _inline(self, pc: int, mn: str, f: dict, instr) -> bool:
@@ -1752,19 +1610,35 @@ class _MegaEmitter:
             # stale (dirty) until a sync point needs the bit pattern
             key = self._mem_key(rs1, imm, 8)
             fsrc = self.fp_mem.get(key)
-            v = self._load_value(pc, rs1, imm, 8)
+            bits = self.mem_known.get(key)
             if fsrc is not None and fsrc in self.fp_float:
                 # the slot's float is already live in a local: the
                 # reload is at most a local-to-local copy
                 if fsrc != rd:
                     self._fp_kill_g(rd)
                     self.lines.append(f"g{rd} = g{fsrc}")
-            else:
+            elif bits is not None:
                 self._fp_kill_g(rd)
-                self.lines.append(f"g{rd} = F64({v})")
+                self.lines.append(f"g{rd} = F64({bits})")
+                self.fp_mem[key] = rd
+            else:
+                # unpack the double straight from the page buffer; the
+                # bit pattern is only built if a sync point needs it
+                self._mark(pc)
+                self._fp_kill_g(rd)
+                a, o, miss, _ = self._page_ref(rs1, imm, 8)
+                slow = f"g{rd} = F64(ri({a}, 8))"
+                if miss is None:
+                    self.lines.append(slow)
+                else:
+                    self.lines += [f"if {miss}:", f"    {slow}", "else:",
+                                   f"    g{rd} = UD(pg, {o})[0]"]
                 self.fp_mem[key] = rd
             self.fp_float.add(rd)
-            self.fp_bits[rd] = v
+            if bits is not None:
+                self.fp_bits[rd] = bits
+            else:
+                self.fp_bits.pop(rd, None)
             self.fp_dirty.add(rd)
             self._charge(mn, instr)
             return True
@@ -1864,32 +1738,35 @@ class _MegaEmitter:
         v = self._stable(key)
         self._fp_purge_name(v)
         self._mark(pc)
-        c = self.const_of(rs1)
-        if c is not None:
-            addr = (c + imm) & _MASK64
-            off = addr & 4095
-            if off > 4096 - size:  # crosses a page: slow path only
-                self.lines.append(f"{v} = ri({addr:#x}, {size})")
-            else:
-                self.lines += [
-                    f"pg = PG({addr >> 12:#x})",
-                    "if pg is None:",
-                    f"    {v} = ri({addr:#x}, {size})",
-                    "else:",
-                    f"    {v} = FB(pg[{off}:{off + size}], 'little')",
-                ]
+        a, o, miss, _ = self._page_ref(rs1, imm, size)
+        if miss is None:
+            self.lines.append(f"{v} = ri({a}, {size})")
         else:
-            self.lines += [
-                f"a = {self._addr_expr(rs1, imm)}",
-                "pg = PG(a >> 12)",
-                "o = a & 4095",
-                f"if pg is None or o > {4096 - size}:",
-                f"    {v} = ri(a, {size})",
-                "else:",
-                f"    {v} = FB(pg[o:o + {size}], 'little')",
-            ]
+            self.lines += [f"if {miss}:", f"    {v} = ri({a}, {size})",
+                           "else:",
+                           f"    {v} = FB(pg[{o}:{o} + {size}], 'little')"]
         self.mem_known[key] = v
         return v
+
+    def _page_ref(self, rs1: int, imm: int, size: int):
+        """Emit the page lookup for the access (*rs1* + *imm*, *size*)
+        into local ``pg``.  Returns ``(addr, off, miss, page)`` source
+        expressions: the address, its page offset, the condition under
+        which the access must take the ``ri``/``si`` slow path
+        (unmapped page or page-crossing access), and the page index.
+        A constant address that crosses a page has only the slow path:
+        ``miss`` is then ``None`` and nothing is emitted."""
+        c = self.const_of(rs1)
+        if c is None:
+            self.lines += [f"a = {self._addr_expr(rs1, imm)}",
+                           "pg = PG(a >> 12)", "o = a & 4095"]
+            return "a", "o", f"pg is None or o > {4096 - size}", "a >> 12"
+        addr = (c + imm) & _MASK64
+        off = addr & 4095
+        if off > 4096 - size:
+            return f"{addr:#x}", None, None, None
+        self.lines.append(f"pg = PG({addr >> 12:#x})")
+        return f"{addr:#x}", str(off), "pg is None", f"{addr >> 12:#x}"
 
     def _store_invalidate(self, key: tuple) -> None:
         """A store to *key* kills forwarded values it may alias: every
@@ -1905,109 +1782,58 @@ class _MegaEmitter:
 
     def _emit_store(self, pc: int, mn: str, f: dict, instr) -> None:
         size = STORES.get(mn) or (4 if mn == "fsw" else 8)
+        mask = (1 << (8 * size)) - 1
         rs2 = f["rs2"]
         imm = f["imm"]
         skey = self._mem_key(f["rs1"], imm, size)
-        fsd_cached = False
-        if mn == "fsd":
-            b = self.fp_bits.get(rs2)
-            if b is None and rs2 in self.fp_float:
-                b = f"B64(g{rs2})"
-            if b is not None:
-                # store straight from the float cache: the bits land in
-                # the forwarding local first, so any B64 runs once and
-                # the value is forwarded to same-slot reloads for free
-                nm = self._stable(skey)
-                if b != nm:
-                    self._fp_purge_name(nm)
-                    self.lines.append(f"{nm} = {b}")
-                    self.fp_bits[rs2] = nm
-                val_int = nm
-                val_bytes = f"{nm}.to_bytes(8, 'little')"
-                fsd_cached = True
-            else:
-                val_int = f"fr[{rs2}]"
-                val_bytes = f"fr[{rs2}].to_bytes(8, 'little')"
-        elif mn == "fsw":
-            self._fp_sync(rs2)
-            val_int = f"fr[{rs2}]"
-            val_bytes = (f"(fr[{rs2}] & 0xFFFFFFFF)"
-                         f".to_bytes(4, 'little')")
+        c = None if mn in ("fsw", "fsd") else self.const_of(rs2)
+        v = None
+        if mn == "fsd" and rs2 in self.fp_float:
+            # store straight from the float cache: the fast path packs
+            # the double into the page, so no bit pattern is built
+            val_int = self._fp_bits_expr(rs2)
+            val_bytes = None
+        elif c is not None:
+            val_int = f"{c:#x}" if c else "0"
+            val_bytes = repr((c & mask).to_bytes(size, "little"))
         else:
-            c = self.const_of(rs2)
-            if c is not None:
-                val_int = f"{c:#x}" if c else "0"
-                val_bytes = repr(
-                    (c & ((1 << (8 * size)) - 1))
-                    .to_bytes(size, "little"))
-            else:
-                v = self.use(rs2)
-                val_int = v
-                if size == 8:
-                    val_bytes = f"{v}.to_bytes(8, 'little')"
-                else:
-                    mask = (1 << (8 * size)) - 1
-                    val_bytes = (f"({v} & {mask:#x})"
-                                 f".to_bytes({size}, 'little')")
+            if mn == "fsw":
+                self._fp_sync(rs2)
+            v = f"fr[{rs2}]" if mn in ("fsw", "fsd") else self.use(rs2)
+            val_int = v
+            val_bytes = (f"{v}.to_bytes(8, 'little')" if size == 8 else
+                         f"({v} & {mask:#x}).to_bytes({size}, 'little')")
         self._cover(pc, instr.length)
         self._mark(pc)
-        c1 = self.const_of(f["rs1"])
-        if c1 is not None:
-            addr = (c1 + imm) & _MASK64
-            off = addr & 4095
-            a, o = f"{addr:#x}", str(off)
-            cross = off > 4096 - size
-            if not cross:
-                self.lines.append(f"pg = PG({addr >> 12:#x})")
+        a, o, miss, page = self._page_ref(f["rs1"], imm, size)
+        slow = f"si({a}, {size}, {val_int})"
+        if miss is None:
+            self.lines.append(slow)
         else:
-            self.lines.append(f"a = {self._addr_expr(f['rs1'], imm)}")
-            self.lines.append("pg = PG(a >> 12)")
-            self.lines.append("o = a & 4095")
-            a, o = "a", "o"
-            cross = False
-        if cross:
-            self.lines.append(f"si({a}, {size}, {val_int})")
-        else:
-            # fast path: direct page write outside the watched code
-            # ranges; anything near code (or off-page) goes through
-            # write_int so the write watch can invalidate traces
+            # fast path: direct page write off the watched code pages;
+            # a store to one (or off-page) goes through write_int so
+            # the write watch can invalidate traces
             self.lines += [
-                f"if pg is None or {o} > {4096 - size} or "
-                f"({a} < W._watch_hi and {a} + {size} > W._watch_lo):",
-                f"    si({a}, {size}, {val_int})",
+                f"if {miss} or {page} in WP:",
+                f"    {slow}",
                 "else:",
-                f"    pg[{o}:{o} + {size}] = {val_bytes}"
-                if c1 is None else
-                f"    pg[{off}:{off + size}] = {val_bytes}",
+                f"    PD(pg, {o}, g{rs2})" if val_bytes is None else
+                f"    pg[{o}:{o} + {size}] = {val_bytes}",
             ]
         self._charge(mn, instr)
         self._store_invalidate(skey)
         # store-to-load forwarding: remember the stored value so a
         # same-address reload (this iteration or, via seeding, the next
         # one) costs one local read instead of a page access
-        fwd = None
-        if mn == "fsd":
-            if fsd_cached:
-                self.mem_known[skey] = val_int
-                if rs2 in self.fp_float:
-                    self.fp_mem[skey] = rs2
-            else:
-                fwd = f"fr[{rs2}]"
-        elif mn == "fsw":
-            fwd = f"fr[{rs2}] & 0xFFFFFFFF"
+        if val_bytes is None:
+            self.fp_mem[skey] = rs2
+        elif c is not None:
+            self.mem_known[skey] = f"{c & mask:#x}"
         else:
-            c2 = self.const_of(rs2)
-            if c2 is not None:
-                self.mem_known[skey] = \
-                    f"{c2 & ((1 << (8 * size)) - 1):#x}"
-            elif size == 8:
-                fwd = self.use(rs2)
-            else:
-                fwd = f"{self.use(rs2)} & {(1 << (8 * size)) - 1:#x}"
-        if fwd is not None:
             nm = self._stable(skey)
             self._fp_purge_name(nm)
-            self.lines.append(f"{nm} = {fwd}")
+            self.lines.append(
+                f"{nm} = {v}" if size == 8 else f"{nm} = {v} & {mask:#x}")
             self.mem_known[skey] = nm
             if mn == "fsd":
                 self.fp_bits[rs2] = nm
@@ -2100,16 +1926,13 @@ class _MegaEmitter:
                     body_lines += [f"{pad}    {fl}" for fl in fast]
                     continue
                 body_lines.append(line)
-            count = self.warm_count
         else:
             # the path never returned to the head: a straight-line
             # body whose every path returns
             body_lines = self._expand(self.lines, True, written)
-            count = self.count
-        fpp = [[list(p) for p in t] for t in self.sync_fp] \
-            if any(self.sync_fp) else None
-        if fpp is not None:
-            ns["FPP"] = tuple(tuple(map(tuple, t)) for t in fpp)
+        fpp = any(self.sync_fp)
+        if fpp:
+            ns["FPP"] = tuple(self.sync_fp)
         loads = [f"r{r} = x[{r}]"
                  for r in sorted((self.localized | self.written) - {0})]
         spill = [f"x[{r}] = r{r}" for r in written]
@@ -2121,7 +1944,7 @@ class _MegaEmitter:
             "        for _fd, _fn in FPP[ip]:\n"
             "            fr[_fd] = _lv[_fn] if _fn else "
             "B64(_lv['g%d' % _fd])\n"
-        ) if fpp is not None else ""
+        ) if fpp else ""
         src = (
             f"def __mega__({', '.join(f'{k}={k}' for k in ns)}):\n"
             f"    ip = 0\n"
@@ -2140,17 +1963,6 @@ class _MegaEmitter:
             f"        m.instret += ir + N[ip]\n"
             f"        raise\n"
         )
-        code = compile(src, f"<mega@{self.entry:#x}>", "exec")
         env = dict(ns)
-        exec(code, env)
-        meta = {
-            "kind": "mega", "src": src, "cells": self.cells,
-            "P": list(self.sync_pc), "U": list(self.sync_cost),
-            "N": list(self.sync_count),
-            "CF": [list(map(list, t)) for t in self.sync_consts],
-            "FPP": fpp,
-            "bodies": dict(self.bodies),
-            "hot": False, "guard": self.guard_used,
-            "_G": ns.get("G"),
-        }
-        return (env["__mega__"], self._merge_spans(), count, meta)
+        exec(compile_trace(src, f"<mega@{self.entry:#x}>"), env)
+        return env["__mega__"], self._merge_spans()
