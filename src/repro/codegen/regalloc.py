@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
-from ..dataflow.liveness import LivenessResult
+from ..dataflow.liveness import ALL_REGS_MASK, REG_BIT, LivenessResult
 from ..riscv.registers import Register, SCRATCH_CANDIDATES
 
 
@@ -45,43 +45,39 @@ class AllocationError(ReproError, RuntimeError):
     pass
 
 
+#: scratch candidates with their liveness-mask bits, in claim order
+_POOL: tuple[tuple[Register, int], ...] = tuple(
+    (r, REG_BIT[r]) for r in SCRATCH_CANDIDATES)
+
+
 def allocate_scratch(
     needed: int,
     liveness: LivenessResult | None = None,
     point: int | None = None,
     *,
     use_dead_registers: bool = True,
-    candidates: tuple[Register, ...] = SCRATCH_CANDIDATES,
-    extra_avoid: frozenset[Register] = frozenset(),
 ) -> ScratchPlan:
     """Build a scratch plan for *needed* registers at *point*.
 
     With liveness available and ``use_dead_registers``, dead registers
     are claimed first (zero save/restore cost); the remainder are
     spill-backed.  Without liveness (or with the optimisation off),
-    every scratch register is spilled — correct but slower.
+    every scratch register is spilled — correct but slower.  Any
+    *liveness* with a ``live_mask_before(point)`` query will do.
     """
     if needed <= 0:
         raise AllocationError("needed must be positive")
-    pool = [r for r in candidates if r not in extra_avoid]
-    if needed > len(pool):
+    if needed > len(_POOL):
         raise AllocationError(
-            f"requested {needed} scratch registers; only {len(pool)} "
+            f"requested {needed} scratch registers; only {len(_POOL)} "
             f"candidates exist")
 
-    dead: list[Register] = []
+    live = ALL_REGS_MASK
     if use_dead_registers and liveness is not None and point is not None:
-        dead = [r for r in liveness.dead_before(point, tuple(pool))]
-
-    chosen: list[Register] = dead[:needed]
-    spilled: list[Register] = []
-    for r in pool:
-        if len(chosen) >= needed:
-            break
-        if r not in chosen:
-            chosen.append(r)
-            spilled.append(r)
-    return ScratchPlan(tuple(chosen), tuple(spilled))
+        live = liveness.live_mask_before(point)
+    dead = [r for r, bit in _POOL if not live & bit][:needed]
+    spilled = [r for r, bit in _POOL if live & bit][:needed - len(dead)]
+    return ScratchPlan(tuple(dead + spilled), tuple(spilled))
 
 
 @dataclass

@@ -255,19 +255,8 @@ class _SharpLivenessResult(LivenessResult):
         super().__init__(fn, live_in, live_out)
         self._owner = owner
 
-    def live_before(self, addr: int):
-        block = self.function.block_at(addr)
-        if block is None:
-            raise KeyError(f"{addr:#x} is not in function "
-                           f"{self.function.name!r}")
-        live = set(self.live_out.get(block.start, ALL_REGS))
-        for insn in reversed(block.insns):
-            u, d = self._owner._insn_uses_defs(insn, block)
-            live -= d
-            live |= u
-            if insn.address == addr:
-                return frozenset(live)
-        raise KeyError(f"{addr:#x} not at an instruction boundary")
+    def _uses_defs(self, insn, block):
+        return self._owner._insn_uses_defs(insn, block)
 
 
 def analyze_interprocedural(code_object: "CodeObject",

@@ -18,7 +18,7 @@ per-instruction refinement.  Conservative boundary conditions:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import telemetry
 from ..instruction.insn import Insn
@@ -27,6 +27,7 @@ from ..riscv.registers import (
     ARG_REGS, CALLEE_SAVED, CALLER_SAVED, FP_ARG_REGS, FP_REGS, GP,
     INT_REGS, RA, Register, SP, TP,
 )
+from ..semantics.registry import operand_pairs
 
 #: Registers assumed live at a function exit: returned values plus
 #: everything the caller expects preserved.
@@ -53,8 +54,8 @@ ALL_REGS: frozenset[Register] = frozenset(
 # ints: x0..x31 map to bits 0..31, f0..f31 to bits 32..63.  Set
 # union/difference become single-word |, &~ — the dead-register ablation
 # spends most of its time here.  The public API stays frozenset-based
-# (LivenessResult, insn_uses_defs); masks are an internal representation
-# attached to results built by :func:`analyze_liveness`.
+# (LivenessResult, insn_uses_defs), plus one mask query,
+# :meth:`LivenessResult.live_mask_before`, for the scratch allocator.
 
 REG_BIT: dict[Register, int] = {
     **{r: 1 << i for i, r in enumerate(INT_REGS)},
@@ -87,11 +88,25 @@ CALL_KILLS_MASK = mask_of(CALL_KILLS)
 ALL_REGS_MASK = mask_of(ALL_REGS)
 
 
+def _bind_mask(pairs, fields: dict[str, int]) -> int:
+    """(regfile, operand) pairs bound to an instruction's fields, as a
+    mask; x0 is dropped, exactly as in the semantics registry."""
+    m = 0
+    for rf, op in pairs:
+        n = fields.get(op)
+        if n is not None and (n or rf != "x"):
+            m |= 1 << (n if rf == "x" else 32 + n)
+    return m
+
+
 def _insn_masks(insn: Insn, block: Block | None = None) -> tuple[int, int]:
     """Per-instruction (uses, defs) as masks, with call augmentation —
-    the bitmask twin of :func:`insn_uses_defs`."""
-    uses = mask_of(insn.read_set())
-    defs = mask_of(insn.write_set())
+    the bitmask twin of :func:`insn_uses_defs`, read straight from the
+    per-mnemonic operand table (no Register objects)."""
+    raw = insn.raw
+    use_pairs, def_pairs = operand_pairs()[raw.spec.mnemonic]
+    uses = _bind_mask(use_pairs, raw.fields)
+    defs = _bind_mask(def_pairs, raw.fields)
     if block is not None and insn is block.last:
         kinds = {e.kind for e in block.out_edges}
         if EdgeType.CALL in kinds:
@@ -135,37 +150,68 @@ class LivenessResult:
     per-instruction queries.
 
     The constructor keeps its frozenset-based signature (interprocedural
-    analysis and external callers build these directly); results from
-    :func:`analyze_liveness` additionally carry bitmask tables
-    (``_out_masks``) that the per-instruction queries prefer.
+    analysis and external callers build these directly).  Results from
+    :func:`analyze_liveness` and revived snapshots also carry live-out
+    masks (``_out_masks``) and answer from masks: the first query in a
+    block walks it once and memoizes every instruction's live-before
+    mask.  The memo is derived from the frozen CFG and never
+    serialized, so sessions and threads may share one result; a race
+    only builds the same table twice.
     """
 
     function: Function
     live_in: dict[int, frozenset[Register]]
     live_out: dict[int, frozenset[Register]]
+    #: instruction address -> live-before mask (mask path only)
+    _before_masks: dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    #: block start -> live-out mask (set by analyze_liveness; absent on
-    #: hand-built / interprocedural results, which use the set path)
+    #: block start -> live-out mask (absent on hand-built /
+    #: interprocedural results, which take the reference set path)
     _out_masks = None
 
-    def live_before(self, addr: int) -> frozenset[Register]:
-        """Registers live immediately before the instruction at *addr*."""
+    def _block(self, addr: int) -> Block:
         block = self.function.block_at(addr)
         if block is None:
             raise KeyError(f"{addr:#x} is not in function "
                            f"{self.function.name!r}")
-        masks = self._out_masks
-        if masks is not None:
-            live = masks.get(block.start, ALL_REGS_MASK)
-            for insn in reversed(block.insns):
-                u, d = _insn_masks(insn, block)
-                live = (live & ~d) | u
-                if insn.address == addr:
-                    return regs_of(live)
+        return block
+
+    def _uses_defs(self, insn: Insn, block: Block):
+        """Set-path per-instruction (uses, defs); subclasses sharpen
+        the call effects."""
+        return insn_uses_defs(insn, block)
+
+    def live_mask_before(self, addr: int) -> int:
+        """Mask (see :data:`REG_BIT`) of the registers live immediately
+        before the instruction at *addr*."""
+        live = self._before_masks.get(addr)
+        if live is not None:
+            return live
+        if self._out_masks is None:
+            return mask_of(self.live_before(addr))
+        block = self._block(addr)
+        live = self._out_masks.get(block.start, ALL_REGS_MASK)
+        table = {}
+        for insn in reversed(block.insns):
+            u, d = _insn_masks(insn, block)
+            live = (live & ~d) | u
+            table[insn.address] = live
+        # publish the finished table in one update: every entry a
+        # concurrent reader can see is already final
+        self._before_masks.update(table)
+        if addr not in table:
             raise KeyError(f"{addr:#x} not at an instruction boundary")
+        return table[addr]
+
+    def live_before(self, addr: int) -> frozenset[Register]:
+        """Registers live immediately before the instruction at *addr*."""
+        if self._out_masks is not None:
+            return regs_of(self.live_mask_before(addr))
+        block = self._block(addr)
         live = set(self.live_out.get(block.start, ALL_REGS))
         for insn in reversed(block.insns):
-            u, d = insn_uses_defs(insn, block)
+            u, d = self._uses_defs(insn, block)
             live -= d
             live |= u
             if insn.address == addr:
@@ -179,9 +225,9 @@ class LivenessResult:
         are dead at *addr* — free scratch for instrumentation."""
         from ..riscv.registers import SCRATCH_CANDIDATES
 
-        live = self.live_before(addr)
+        live = self.live_mask_before(addr)
         pool = candidates if candidates is not None else SCRATCH_CANDIDATES
-        return [r for r in pool if r not in live]
+        return [r for r in pool if not live & REG_BIT[r]]
 
 
 # -- snapshots ------------------------------------------------------------

@@ -131,28 +131,23 @@ class PatchResult:
 
 
 class _IntersectedLiveness:
-    """Duck-typed LivenessResult over several functions' views: live =
-    union of lives, dead = intersection of deads."""
+    """Liveness view over several functions' results: live = union of
+    lives, so dead = intersection of deads."""
 
-    def __init__(self, primary_fn, results):
-        self.function = primary_fn
+    def __init__(self, results):
         self._results = results
 
-    def live_before(self, addr: int):
-        live = set()
+    def live_mask_before(self, addr: int) -> int:
+        live = 0
         for res in self._results:
             try:
-                live |= res.live_before(addr)
+                live |= res.live_mask_before(addr)
             except KeyError:
                 continue
-        return frozenset(live)
+        return live
 
-    def dead_before(self, addr: int, candidates=None):
-        from ..riscv.registers import SCRATCH_CANDIDATES
-
-        pool = candidates if candidates is not None else SCRATCH_CANDIDATES
-        live = self.live_before(addr)
-        return [r for r in pool if r not in live]
+    # the mask-filtering query only needs live_mask_before
+    dead_before = LivenessResult.dead_before
 
 
 @dataclass
@@ -206,6 +201,9 @@ class Patcher:
         self.data_area = DataArea(self.data_base, data_size)
         self._requests: dict[int, _Request] = {}
         self._liveness: dict[int, LivenessResult] = {}
+        #: instruction address -> functions whose CFG holds it (built
+        #: on first commit; shared blocks list several owners)
+        self._owners: dict[int, list] | None = None
 
     # -- request accumulation ------------------------------------------------
 
@@ -476,14 +474,17 @@ class Patcher:
         """Liveness view for a patch site: when the address belongs to
         several functions' CFGs, a register is only dead if dead in
         every view (shared-code safety)."""
-        owners = [fn for fn in self.code_object.functions.values()
-                  if fn.block_at(site) is not None]
-        if not owners:
-            owners = [primary_fn]
+        if self._owners is None:
+            index: dict[int, list] = {}
+            for fn in self.code_object.functions.values():
+                for insn in fn.instructions():
+                    index.setdefault(insn.address, []).append(fn)
+            self._owners = index
+        owners = self._owners.get(site) or [primary_fn]
         results = [self._liveness_for(fn) for fn in owners]
         if len(results) == 1:
             return results[0]
-        return _IntersectedLiveness(primary_fn, results)
+        return _IntersectedLiveness(results)
 
     def _liveness_for(self, fn) -> LivenessResult:
         if fn.entry not in self._liveness:

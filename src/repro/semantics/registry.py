@@ -78,23 +78,42 @@ def _fallback_defs(spec: InstrSpec) -> set[tuple[str, str]]:
     return defs
 
 
-def register_uses(instr: Instruction) -> set[tuple[str, int]]:
-    """Registers read by *instr* as (regfile, regnum) pairs.
+@lru_cache(maxsize=1)
+def operand_pairs() -> dict[str, tuple[tuple, tuple]]:
+    """Mnemonic -> (uses, defs) as (regfile, operand) pairs, derived
+    once from the SAIL IR, else from the conservative spec walk.
+    Mnemonics are unique across the spec table."""
+    sail = sail_semantics()
+    table = {}
+    for spec in all_specs():
+        sem = sail.get(spec.mnemonic)
+        if sem is not None:
+            uses, defs = sem.register_uses(), sem.register_defs()
+        else:
+            uses, defs = _fallback_uses(spec), _fallback_defs(spec)
+        table[spec.mnemonic] = (tuple(sorted(uses)), tuple(sorted(defs)))
+    return table
 
-    Reads of x0 are dropped (it is constant).
-    """
-    sem = semantics_for(instr)
-    pairs = (sem.register_uses() if sem is not None
-             else _fallback_uses(instr.spec))
+
+def _bind(pairs, fields) -> set[tuple[str, int]]:
+    """Operand pairs -> (regfile, regnum) pairs, x0 dropped."""
     out = set()
     for rf, opname in pairs:
-        n = instr.fields.get(opname)
+        n = fields.get(opname)
         if n is None:
             continue
         if rf == "x" and n == 0:
             continue
         out.add((rf, n))
     return out
+
+
+def register_uses(instr: Instruction) -> set[tuple[str, int]]:
+    """Registers read by *instr* as (regfile, regnum) pairs.
+
+    Reads of x0 are dropped (it is constant).
+    """
+    return _bind(operand_pairs()[instr.mnemonic][0], instr.fields)
 
 
 def register_defs(instr: Instruction) -> set[tuple[str, int]]:
@@ -102,18 +121,7 @@ def register_defs(instr: Instruction) -> set[tuple[str, int]]:
 
     Writes to x0 are dropped (they vanish architecturally).
     """
-    sem = semantics_for(instr)
-    pairs = (sem.register_defs() if sem is not None
-             else _fallback_defs(instr.spec))
-    out = set()
-    for rf, opname in pairs:
-        n = instr.fields.get(opname)
-        if n is None:
-            continue
-        if rf == "x" and n == 0:
-            continue
-        out.add((rf, n))
-    return out
+    return _bind(operand_pairs()[instr.mnemonic][1], instr.fields)
 
 
 def reads_memory(instr: Instruction) -> bool:
