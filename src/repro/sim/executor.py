@@ -5,6 +5,12 @@ once and compiled into a small closure that mutates the machine state;
 closures are cached per-pc (the machine invalidates entries when code is
 patched — which is precisely what dynamic instrumentation does).
 
+The integer ALU, shift, Zba/Zbb, branch-condition and FP add/mul/FMA
+semantics live once, in the expression :data:`TABLE`, which the trace
+JIT (:mod:`repro.sim.trace`) renders into its generated source; the
+rest (loads/stores, CSR, atomics, FP moves, conversions, compares,
+sign injection, classify, square root) are hand-written bodies here.
+
 Per the HPC guides: the interpreter optimises the *hot loop* only —
 closure dispatch, locals-bound state, no per-step allocation.  Everything
 else favours clarity.
@@ -13,7 +19,9 @@ else favours clarity.
 from __future__ import annotations
 
 import math
-from typing import Callable, TYPE_CHECKING
+import re
+import string
+from typing import Callable, NamedTuple, TYPE_CHECKING
 
 from ..errors import ReproError
 from ..riscv.encoding import sign_extend, to_unsigned
@@ -63,7 +71,18 @@ def _sx32(v: int) -> int:
     return v - (1 << 32) if v >> 31 else v
 
 
-# -- integer op lambdas (unsigned-64 in, unsigned-64 out) ----------------
+# -- the expression table ---------------------------------------------
+#
+# One Python expression per mnemonic is the single source of these
+# instructions' semantics.  Operands are named: ``{a}``/``{b}``/``{c}``
+# read rs1/rs2/rs3 (integer rows: unsigned 64-bit; FP rows: Python
+# floats of the row's format), ``{sa}``/``{sb}`` are the signed forms,
+# ``{i}`` is the signed immediate (shamt for shifts) and ``{u}`` the
+# immediate as unsigned 64-bit.  ``M64``/``M32`` are the masks and
+# capitalised calls are :data:`HELPERS`.  Each row is compiled once,
+# below, into the callable the closure interpreter and the megatrace
+# constant folder run; the trace JIT pastes it into generated source
+# through :func:`render`.
 
 def _div_s(a, b):
     if b == 0:
@@ -106,97 +125,214 @@ def _rem_s32(a, b):
     return to_unsigned(-r if sa < 0 else r, 64)
 
 
-RR_OPS = {
-    "add": lambda a, b: (a + b) & M64,
-    "sub": lambda a, b: (a - b) & M64,
-    "sll": lambda a, b: (a << (b & 63)) & M64,
-    "slt": lambda a, b: int(_sx(a) < _sx(b)),
-    "sltu": lambda a, b: int(a < b),
-    "xor": lambda a, b: a ^ b,
-    "srl": lambda a, b: a >> (b & 63),
-    "sra": lambda a, b: to_unsigned(_sx(a) >> (b & 63), 64),
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "addw": lambda a, b: to_unsigned(sign_extend((a + b) & M32, 32), 64),
-    "subw": lambda a, b: to_unsigned(sign_extend((a - b) & M32, 32), 64),
-    "sllw": lambda a, b: to_unsigned(
-        sign_extend((a << (b & 31)) & M32, 32), 64),
-    "srlw": lambda a, b: to_unsigned(
-        sign_extend((a & M32) >> (b & 31), 32), 64),
-    "sraw": lambda a, b: to_unsigned(_sx32(a) >> (b & 31), 64),
-    "mul": lambda a, b: (a * b) & M64,
-    "mulh": lambda a, b: to_unsigned((_sx(a) * _sx(b)) >> 64, 64),
-    "mulhu": lambda a, b: (a * b) >> 64,
-    "mulhsu": lambda a, b: to_unsigned((_sx(a) * b) >> 64, 64),
-    "div": _div_s,
-    "divu": lambda a, b: M64 if b == 0 else a // b,
-    "rem": _rem_s,
-    "remu": lambda a, b: a if b == 0 else a % b,
-    "mulw": lambda a, b: to_unsigned(sign_extend((a * b) & M32, 32), 64),
-    "divw": _div_s32,
-    "divuw": lambda a, b: M64 if (b & M32) == 0 else to_unsigned(
-        sign_extend(((a & M32) // (b & M32)) & M32, 32), 64),
-    "remw": _rem_s32,
-    "remuw": lambda a, b: to_unsigned(sign_extend(
-        (a & M32) if (b & M32) == 0 else (a & M32) % (b & M32), 32), 64),
-    "czero.eqz": lambda a, b: 0 if b == 0 else a,
-    "czero.nez": lambda a, b: 0 if b != 0 else a,
-    "add.uw": lambda a, b: (b + (a & M32)) & M64,
-    "sh1add": lambda a, b: (b + (a << 1)) & M64,
-    "sh2add": lambda a, b: (b + (a << 2)) & M64,
-    "sh3add": lambda a, b: (b + (a << 3)) & M64,
+#: functions rows may call, bound by name wherever a row is evaluated
+HELPERS = {
+    "sx": _sx, "DIV": _div_s, "REM": _rem_s, "DIVW": _div_s32,
+    "REMW": _rem_s32, "FDIV": fp.fp_div, "FMIN": fp.fp_min,
+    "FMAX": fp.fp_max, "FMA32": fp.fma32, "FMA64": fp.fma64,
+}
+
+
+def _s32(e: str) -> str:
+    """Template text: the low 32 bits of *e*, as a signed value."""
+    return f"((({e}) & M32 ^ 0x80000000) - 0x80000000)"
+
+
+def _w(e: str) -> str:
+    """Template text: the low 32 bits of *e*, sign-extended to 64."""
+    return f"{_s32(e)} & M64"
+
+
+#: rd = f(rs1, rs2)
+_RR = {
+    "add": "({a} + {b}) & M64",
+    "sub": "({a} - {b}) & M64",
+    "sll": "({a} << ({b} & 63)) & M64",
+    "slt": "1 if {sa} < {sb} else 0",
+    "sltu": "1 if {a} < {b} else 0",
+    "xor": "{a} ^ {b}",
+    "srl": "{a} >> ({b} & 63)",
+    "sra": "({sa} >> ({b} & 63)) & M64",
+    "or": "{a} | {b}",
+    "and": "{a} & {b}",
+    "addw": _w("{a} + {b}"),
+    "subw": _w("{a} - {b}"),
+    "sllw": _w("{a} << ({b} & 31)"),
+    "srlw": _w("({a} & M32) >> ({b} & 31)"),
+    "sraw": f"({_s32('{a}')} >> ({{b}} & 31)) & M64",
+    "mul": "({a} * {b}) & M64",
+    "mulh": "(({sa} * {sb}) >> 64) & M64",
+    "mulhu": "({a} * {b}) >> 64",
+    "mulhsu": "(({sa} * {b}) >> 64) & M64",
+    "div": "DIV({a}, {b})",
+    "divu": "M64 if {b} == 0 else {a} // {b}",
+    "rem": "REM({a}, {b})",
+    "remu": "{a} if {b} == 0 else {a} % {b}",
+    "mulw": _w("{a} * {b}"),
+    "divw": "DIVW({a}, {b})",
+    "divuw": "M64 if {b} & M32 == 0 else "
+             + _w("({a} & M32) // ({b} & M32)"),
+    "remw": "REMW({a}, {b})",
+    "remuw": _w("{a} if {b} & M32 == 0 else ({a} & M32) % ({b} & M32)"),
+    "czero.eqz": "0 if {b} == 0 else {a}",
+    "czero.nez": "{a} if {b} == 0 else 0",
+    # Zba
+    "add.uw": "({b} + ({a} & M32)) & M64",
+    "sh1add": "({b} + ({a} << 1)) & M64",
+    "sh2add": "({b} + ({a} << 2)) & M64",
+    "sh3add": "({b} + ({a} << 3)) & M64",
     # Zbb (RVA23 sample)
-    "andn": lambda a, b: a & (b ^ M64),
-    "orn": lambda a, b: a | (b ^ M64),
-    "xnor": lambda a, b: (a ^ b) ^ M64,
-    "min": lambda a, b: a if _sx(a) <= _sx(b) else b,
-    "minu": lambda a, b: min(a, b),
-    "max": lambda a, b: a if _sx(a) >= _sx(b) else b,
-    "maxu": lambda a, b: max(a, b),
-    "rol": lambda a, b: ((a << (b & 63)) | (a >> ((-b) & 63))) & M64,
-    "ror": lambda a, b: ((a >> (b & 63)) | (a << ((-b) & 63))) & M64,
+    "andn": "{a} & ({b} ^ M64)",
+    "orn": "{a} | ({b} ^ M64)",
+    "xnor": "{a} ^ {b} ^ M64",
+    "min": "{a} if {sa} <= {sb} else {b}",
+    "minu": "{a} if {a} <= {b} else {b}",
+    "max": "{a} if {sa} >= {sb} else {b}",
+    "maxu": "{a} if {a} >= {b} else {b}",
+    "rol": "(({a} << ({b} & 63)) | ({a} >> (-{b} & 63))) & M64",
+    "ror": "(({a} >> ({b} & 63)) | ({a} << (-{b} & 63))) & M64",
 }
 
-#: Zbb unary ops (rd, rs1 only).
-UNARY_OPS = {
-    "clz": lambda a: 64 - a.bit_length(),
-    "ctz": lambda a: 64 if a == 0 else (a & -a).bit_length() - 1,
-    "cpop": lambda a: a.bit_count(),
-    "sext.b": lambda a: to_unsigned(sign_extend(a, 8), 64),
-    "sext.h": lambda a: to_unsigned(sign_extend(a, 16), 64),
-    "zext.h": lambda a: a & 0xFFFF,
+#: rd = f(rs1, imm)
+_RI = {
+    "addi": "({a} + {i}) & M64",
+    "slti": "1 if {sa} < {i} else 0",
+    "sltiu": "1 if {a} < {u} else 0",
+    "xori": "{a} ^ {u}",
+    "ori": "{a} | {u}",
+    "andi": "{a} & {u}",
+    "addiw": _w("{a} + {i}"),
 }
 
-RI_OPS = {
-    "addi": lambda a, i: (a + i) & M64,
-    "slti": lambda a, i: int(_sx(a) < i),
-    "sltiu": lambda a, i: int(a < to_unsigned(i, 64)),
-    "xori": lambda a, i: a ^ to_unsigned(i, 64),
-    "ori": lambda a, i: a | to_unsigned(i, 64),
-    "andi": lambda a, i: a & to_unsigned(i, 64),
-    "addiw": lambda a, i: to_unsigned(sign_extend((a + i) & M32, 32), 64),
+#: rd = f(rs1, shamt)
+_SHIFT = {
+    "slli": "({a} << {i}) & M64",
+    "srli": "{a} >> {i}",
+    "srai": "({sa} >> {i}) & M64",
+    "slliw": _w("{a} << {i}"),
+    "srliw": _w("({a} & M32) >> {i}"),
+    "sraiw": f"({_s32('{a}')} >> {{i}}) & M64",
+    "rori": "(({a} >> {i}) | ({a} << (-{i} & 63))) & M64",
 }
 
-SHIFT_OPS = {
-    "slli": lambda a, s: (a << s) & M64,
-    "srli": lambda a, s: a >> s,
-    "srai": lambda a, s: to_unsigned(_sx(a) >> s, 64),
-    "slliw": lambda a, s: to_unsigned(
-        sign_extend((a << s) & M32, 32), 64),
-    "srliw": lambda a, s: to_unsigned(
-        sign_extend((a & M32) >> s, 32), 64),
-    "sraiw": lambda a, s: to_unsigned(_sx32(a) >> s, 64),
-    "rori": lambda a, s: ((a >> s) | (a << ((-s) & 63))) & M64,
+#: rd = f(rs1), Zbb
+_UNARY = {
+    "clz": "64 - ({a}).bit_length()",
+    "ctz": "64 if {a} == 0 else ({a} & -{a}).bit_length() - 1",
+    "cpop": "({a}).bit_count()",
+    "sext.b": "(({a} & 0xFF ^ 0x80) - 0x80) & M64",
+    "sext.h": "(({a} & 0xFFFF ^ 0x8000) - 0x8000) & M64",
+    "zext.h": "{a} & 0xFFFF",
 }
 
-BRANCH_OPS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: _sx(a) < _sx(b),
-    "bge": lambda a, b: _sx(a) >= _sx(b),
-    "bltu": lambda a, b: a < b,
-    "bgeu": lambda a, b: a >= b,
+#: branch taken = f(rs1, rs2)
+_BRANCH = {
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "blt": "{sa} < {sb}",
+    "bge": "{sa} >= {sb}",
+    "bltu": "{a} < {b}",
+    "bgeu": "{a} >= {b}",
 }
+
+#: fd = f(fs1, fs2[, fs3]) on floats; the FMA signs are (product, addend)
+_FP = {}
+for _fmt, _bits in (("s", 32), ("d", 64)):
+    _FP.update({
+        "fadd." + _fmt: "{a} + {b}",
+        "fsub." + _fmt: "{a} - {b}",
+        "fmul." + _fmt: "{a} * {b}",
+        "fdiv." + _fmt: "FDIV({a}, {b})",
+        "fmin." + _fmt: "FMIN({a}, {b})",
+        "fmax." + _fmt: "FMAX({a}, {b})",
+        "fmadd." + _fmt: f"FMA{_bits}({{a}}, {{b}}, {{c}}, 1, 1)",
+        "fmsub." + _fmt: f"FMA{_bits}({{a}}, {{b}}, {{c}}, 1, -1)",
+        "fnmsub." + _fmt: f"FMA{_bits}({{a}}, {{b}}, {{c}}, -1, 1)",
+        "fnmadd." + _fmt: f"FMA{_bits}({{a}}, {{b}}, {{c}}, -1, -1)",
+    })
+
+#: placeholder -> instruction field it reads
+_FIELD = {"a": "rs1", "b": "rs2", "c": "rs3", "sa": "rs1", "sb": "rs2"}
+
+#: lambda parameter per instruction field
+_PARAM = {"rs1": "a", "rs2": "b", "rs3": "c", "imm": "i", "shamt": "i"}
+
+#: how the compiled callables read each placeholder
+_LAMBDA_OPS = {"a": "a", "b": "b", "c": "c", "sa": "sx(a)", "sb": "sx(b)",
+               "i": "i", "u": "(i & 0xFFFFFFFFFFFFFFFF)"}
+
+#: how the compiled renderers spell each placeholder (``I`` is the
+#: immediate field's name)
+_RENDER_OPS = {"a": "{reg(f['rs1'])}", "b": "{reg(f['rs2'])}",
+               "c": "{reg(f['rs3'])}", "sa": "{reg_sx(f['rs1'])}",
+               "sb": "{reg_sx(f['rs2'])}", "i": "{f[I]}",
+               "u": "{f[I] & 0xFFFFFFFFFFFFFFFF:#x}"}
+
+
+_HELPER_NS = dict(HELPERS)
+
+
+class Row(NamedTuple):
+    """One expression-table entry."""
+
+    #: "int" (rd = ...), "branch" (taken?) or "fp" (fd = ...)
+    kind: str
+    #: instruction fields the row reads, in ``fn``'s argument order
+    args: tuple[str, ...]
+    #: :data:`HELPERS` names the expression calls (``sx`` for signed
+    #: operands included)
+    helpers: tuple[str, ...]
+    #: the row compiled to a function of ``args`` (interpreter, folding)
+    fn: Callable
+    #: the row compiled to its renderer, ``render(fields, reg, reg_sx)``:
+    #: the source of the row for an instruction with *fields*, register
+    #: operand *n* read as ``reg(n)`` (signed: ``reg_sx(n)``), called in
+    #: the template's left-to-right order, immediates as literals
+    render: Callable
+
+
+def _row(kind: str, imm: str | None, mn: str, template: str) -> Row:
+    expr = (template.replace("M64", "0xFFFFFFFFFFFFFFFF")
+            .replace("M32", "0xFFFFFFFF"))
+    operands = {name for _, name, _, _ in string.Formatter().parse(expr)
+                if name}
+    args = tuple(sorted({_FIELD[p] for p in operands if p in _FIELD}))
+    if imm is not None:
+        args += (imm,)
+    body = expr.format_map(_LAMBDA_OPS)
+    fn = eval(f"lambda {', '.join(_PARAM[k] for k in args)}: {body}",
+              _HELPER_NS)
+    source = f"f{expr.format_map(_RENDER_OPS)!r}"
+    if mn == "addi":  # addi rd, rs, 0 is the mv idiom: a plain copy
+        source = f"reg(f['rs1']) if f[I] == 0 else {source}"
+    render = eval(f"lambda f, reg, reg_sx, I={imm!r}: {source}")
+    helpers = tuple(h for h in dict.fromkeys(re.findall(r"\b(\w+)\(", body))
+                    if h in HELPERS)
+    return Row(kind, args, helpers, fn, render)
+
+
+#: mnemonic -> :class:`Row`
+TABLE: dict[str, Row] = {
+    mn: _row(kind, imm, mn, t)
+    for kind, imm, rows in (
+        ("int", None, _RR), ("int", "imm", _RI), ("int", "shamt", _SHIFT),
+        ("int", None, _UNARY), ("branch", None, _BRANCH),
+        ("fp", None, _FP))
+    for mn, t in rows.items()
+}
+
+#: conditional-branch mnemonics
+BRANCHES = frozenset(mn for mn, r in TABLE.items() if r.kind == "branch")
+
+
+def upper_immediate(pc: int, instr: Instruction) -> int | None:
+    """The constant ``lui``/``auipc`` at *pc* writes, else None."""
+    mn = instr.mnemonic
+    if mn != "lui" and mn != "auipc":
+        return None
+    val = sign_extend(instr.fields["imm"], 20) << 12
+    return to_unsigned(val + pc if mn == "auipc" else val, 64)
+
 
 LOADS = {  # mnemonic -> (size, signed)
     "lb": (1, True), "lh": (2, True), "lw": (4, True), "ld": (8, True),
@@ -217,23 +353,10 @@ AMO_OPS = {
     "amomaxu": lambda old, src, sx: max(old, src),
 }
 
-FP_RR = {  # two-operand FP arithmetic on Python floats
-    "fadd": lambda a, b: a + b,
-    "fsub": lambda a, b: a - b,
-    "fmul": lambda a, b: a * b,
-    "fdiv": fp.fp_div,
-    "fmin": fp.fp_min,
-    "fmax": fp.fp_max,
-}
-
 FP_CMP = {
     "feq": lambda a, b: int(a == b),
     "flt": lambda a, b: int(a < b),
     "fle": lambda a, b: int(a <= b),
-}
-
-FMA_SIGNS = {  # mnemonic root -> (product sign, addend sign)
-    "fmadd": (1, 1), "fmsub": (1, -1), "fnmsub": (-1, 1), "fnmadd": (-1, -1),
 }
 
 
@@ -255,57 +378,14 @@ def build_body(m: "Machine", pc: int, instr: Instruction
     x = m.x
     mem = m.mem
 
-    # ---- Zbb unary -----------------------------------------------------
-    if mn in UNARY_OPS:
-        op = UNARY_OPS[mn]
-        rd, rs1 = f["rd"], f["rs1"]
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = op(x[rs1])
-        return body
+    # ---- the expression table -----------------------------------------
+    row = TABLE.get(mn)
+    if row is not None and row.kind != "branch":
+        return _build_row(m, mn, row, f)
 
-    # ---- integer register-register -----------------------------------
-    if mn in RR_OPS:
-        op = RR_OPS[mn]
-        rd, rs1, rs2 = f["rd"], f["rs1"], f["rs2"]
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = op(x[rs1], x[rs2])
-        return body
-
-    # ---- integer register-immediate -----------------------------------
-    if mn in RI_OPS:
-        op = RI_OPS[mn]
-        rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = op(x[rs1], imm)
-        return body
-
-    if mn in SHIFT_OPS:
-        op = SHIFT_OPS[mn]
-        rd, rs1, sh = f["rd"], f["rs1"], f["shamt"]
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = op(x[rs1], sh)
-        return body
-
-    if mn == "lui":
+    val = upper_immediate(pc, instr)
+    if val is not None:
         rd = f["rd"]
-        val = to_unsigned(sign_extend(f["imm"], 20) << 12, 64)
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = val
-        return body
-
-    if mn == "auipc":
-        rd = f["rd"]
-        val = to_unsigned(pc + (sign_extend(f["imm"], 20) << 12), 64)
         if rd == 0:
             return lambda: None
         def body():
@@ -369,8 +449,8 @@ def build_closure(m: "Machine", pc: int, instr: Instruction) -> Closure:
         return _finish_simple(simple)
 
     # ---- control transfer ----------------------------------------------
-    if mn in BRANCH_OPS:
-        cond = BRANCH_OPS[mn]
+    if mn in BRANCHES:
+        cond = TABLE[mn].fn
         rs1, rs2 = f["rs1"], f["rs2"]
         target = pc + f["imm"]
         def run() -> None:
@@ -433,6 +513,41 @@ def build_closure(m: "Machine", pc: int, instr: Instruction) -> Closure:
         return _build_amo(m, mn, f, _finish_simple)
 
     raise SimFault(f"no handler for instruction {mn!r}", pc)
+
+
+def _build_row(m, mn, row, f):
+    op = row.fn
+    rd = f["rd"]
+    if row.kind == "fp":
+        fr = m.f
+        single = mn.endswith(".s")
+        get = fp.f32_from_bits if single else fp.f64_from_bits
+        put = fp.bits_from_f32 if single else fp.bits_from_f64
+        rs1, rs2 = f["rs1"], f["rs2"]
+        if len(row.args) == 3:
+            rs3 = f["rs3"]
+            def body():
+                fr[rd] = put(op(get(fr[rs1]), get(fr[rs2]), get(fr[rs3])))
+        else:
+            def body():
+                fr[rd] = put(op(get(fr[rs1]), get(fr[rs2])))
+        return body
+    if rd == 0:
+        return lambda: None
+    x = m.x
+    rs1 = f["rs1"]
+    if len(row.args) == 1:
+        def body():
+            x[rd] = op(x[rs1])
+    elif row.args[1] == "rs2":
+        rs2 = f["rs2"]
+        def body():
+            x[rd] = op(x[rs1], x[rs2])
+    else:
+        imm = f[row.args[1]]
+        def body():
+            x[rd] = op(x[rs1], imm)
+    return body
 
 
 def _build_csr(m, mn, f, finish):
@@ -538,16 +653,6 @@ def _build_fp(m, mn, f, pc):
     parts = mn.split(".")
     root = parts[0]
 
-    if root in FP_RR and len(parts) == 2:
-        single = parts[1] == "s"
-        get = fp.f32_from_bits if single else fp.f64_from_bits
-        put = fp.bits_from_f32 if single else fp.bits_from_f64
-        op = FP_RR[root]
-        rd, rs1, rs2 = f["rd"], f["rs1"], f["rs2"]
-        def body():
-            fr[rd] = put(op(get(fr[rs1]), get(fr[rs2])))
-        return body
-
     if root in FP_CMP:
         single = parts[1] == "s"
         get = fp.f32_from_bits if single else fp.f64_from_bits
@@ -596,17 +701,6 @@ def _build_fp(m, mn, f, pc):
             if rd:
                 bits = fr[rs1] & (0xFFFF_FFFF if single else M64)
                 x[rd] = fp.classify(get(fr[rs1]), bits, single)
-        return body
-
-    if root in FMA_SIGNS and len(parts) == 2:
-        psign, asign = FMA_SIGNS[root]
-        single = parts[1] == "s"
-        get = fp.f32_from_bits if single else fp.f64_from_bits
-        put = fp.bits_from_f32 if single else fp.bits_from_f64
-        rd, rs1, rs2, rs3 = f["rd"], f["rs1"], f["rs2"], f["rs3"]
-        def body():
-            fr[rd] = put(psign * (get(fr[rs1]) * get(fr[rs2]))
-                         + asign * get(fr[rs3]))
         return body
 
     if root == "fmv":

@@ -3,14 +3,18 @@
 FP registers hold raw 64-bit patterns; single-precision values are
 NaN-boxed (upper 32 bits all-ones) per the RISC-V F-on-RV64 convention.
 Arithmetic is performed in Python doubles; single-precision results are
-re-rounded through a 32-bit pack, which matches hardware except for
-double-rounding corner cases that do not affect the benchmarks.
+re-rounded through a 32-bit pack.  That is exact for add, subtract,
+multiply, divide and square root of singles (binary64 carries more than
+twice their precision), but not for fused multiply-add, whose unrounded
+result can need any number of bits: :func:`fma64` and :func:`fma32`
+round it once, straight to the destination format.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from fractions import Fraction
 
 NAN_BOX = 0xFFFF_FFFF_0000_0000
 #: Canonical quiet NaNs.
@@ -128,3 +132,45 @@ def cvt_to_int(value: float, width: int, signed: bool, rm: int = 0) -> int:
         # Banker's rounding (RNE) is Python round()'s behaviour.
         r = round(value)
     return min(max(r, lo), hi)
+
+
+def _round(q: Fraction, mant: int, emin: int, emax: int) -> float:
+    """Round the nonzero rational *q* to the nearest binary float with
+    a *mant*-bit significand and exponent range [*emin*, *emax*], ties
+    to even; overflow gives a signed infinity."""
+    n, d = abs(q.numerator), q.denominator
+    e = n.bit_length() - d.bit_length()
+    if (n << max(-e, 0)) < (d << max(e, 0)):
+        e -= 1  # now 2**e <= |q| < 2**(e + 1)
+    shift = max(e, emin) - (mant - 1)  # exponent of one unit in the last place
+    num, den = (n, d << shift) if shift >= 0 else (n << -shift, d)
+    m, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and m & 1):
+        m += 1
+    if m.bit_length() + shift > emax + 1:
+        return math.inf if q > 0 else -math.inf
+    v = math.ldexp(m, shift)
+    return v if q > 0 else -v  # an underflow to zero keeps its sign
+
+
+def _fma(a: float, b: float, c: float, ps: int, qs: int,
+         mant: int, emin: int, emax: int) -> float:
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        return ps * (a * b) + qs * c
+    exact = ps * Fraction(a) * Fraction(b) + qs * Fraction(c)
+    if exact:
+        return _round(exact, mant, emin, emax)
+    if a == 0.0 or b == 0.0:
+        return ps * (a * b) + qs * c  # a sum of signed zeros: IEEE's sign
+    return 0.0  # nonzero terms cancelling exactly give +0 (round to nearest)
+
+
+def fma64(a: float, b: float, c: float, ps: int, qs: int) -> float:
+    """``ps * a * b + qs * c`` rounded once to binary64 (the signs
+    select fmadd/fmsub/fnmsub/fnmadd)."""
+    return _fma(a, b, c, ps, qs, 53, -1022, 1023)
+
+
+def fma32(a: float, b: float, c: float, ps: int, qs: int) -> float:
+    """:func:`fma64` for singles: rounded once, straight to binary32."""
+    return _fma(a, b, c, ps, qs, 24, -126, 127)

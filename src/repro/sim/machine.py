@@ -5,15 +5,22 @@ Linux-ish syscall layer, and exposes the debug port ProcControlAPI talks
 to (read/write registers and memory, step, run-until-event).
 
 Performance notes (per the HPC guides): the run loop binds hot
-attributes to locals, and instructions are compiled at two tiers —
+attributes to locals, and instructions execute on three tiers —
 
 * a per-pc closure cache (``_icache``) used for single-stepping, bounded
   ``run(max_steps=...)``, and instructions the trace compiler rejects;
-* a superblock trace cache (:class:`repro.sim.trace.TraceCache`) used by
-  unbounded ``run()``: straight-line blocks execute as one Python
-  function with batched timing and direct chaining to successor blocks.
+* superblocks (:class:`repro.sim.trace.TraceCache`), used by unbounded
+  ``run()``: straight-line blocks execute as one Python function with
+  batched timing and direct chaining to successor blocks;
+* megatraces: a hot loop compiled into one looping function with
+  registers cached in locals and constants folded.
 
-Both tiers are **patch-safe**: every write overlapping a registered
+All three take the ALU, shift, branch-condition and FP add/mul/FMA
+semantics from one per-mnemonic expression table
+(:data:`repro.sim.executor.TABLE`): the interpreter runs each row
+compiled to a function, the trace tiers paste it into their source.
+
+Every tier is **patch-safe**: every write overlapping a registered
 executable range — self-modifying stores, ``write_mem`` from the
 patcher/ProcControl, breakpoint insertion — flows through the
 :class:`Memory` write watch into :meth:`_code_written`, which drops the
@@ -111,10 +118,12 @@ class Machine:
         The :class:`TimingModel` charged per instruction; determines
         what ``clock_gettime``/``rdcycle`` report.
     trace_compile:
-        Enable the superblock trace compiler for unbounded ``run()``.
-        Defaults to on; set ``REPRO_SIM_TRACES=0`` (or pass ``False``)
-        to force the per-pc closure interpreter everywhere — results are
-        architecturally identical either way.
+        Enable the trace compiler (superblocks, and megatraces if
+        *megatraces*) for unbounded ``run()``.  Defaults to on; set
+        ``REPRO_SIM_TRACES=0`` (or pass ``False``) to force the per-pc
+        closure interpreter everywhere — results are architecturally
+        identical either way, since every tier is generated from the
+        same expression table.
     megatraces:
         Enable tier-2 megatrace promotion (hot loops compiled into
         single looping functions with register caching — see

@@ -6,7 +6,9 @@ state — ecall/ebreak/fences/CSR reads/atomics) are compiled **once**
 into a single Python function that
 
 * executes the whole block with machine state bound to locals,
-* inlines the common ALU/load/store forms as plain expressions (no
+* inlines every row of the executor's expression table
+  (:data:`~repro.sim.executor.TABLE`: ALU, shifts, Zba/Zbb, branch
+  conditions, FP add/mul/FMA) and every load as plain expressions (no
   per-instruction call at all) and falls back to the executor's
   bookkeeping-free bodies for the rest,
 * charges timing as **one batched ucycle charge** per block
@@ -25,8 +27,9 @@ never return to the dispatch loop.  Within a megatrace the hot integer
 registers live in Python **locals**, spilled to the architectural
 ``x`` list only at side exits, guards, deopts and faults; immediates
 are constant-folded while emitting source (``li``/``lui``/``auipc``
-chains become literals, ``jal`` makes the link register a known
-constant so the matching ``jalr`` return is followed statically).
+chains become literals through the table rows' compiled functions,
+``jal`` makes the link register a known constant so the matching
+``jalr`` return is followed statically).
 
 Indirect jumps (``jalr``) that end a trace are **guard-specialised**:
 the generated code remembers the first observed target and chains
@@ -81,11 +84,10 @@ from typing import TYPE_CHECKING
 
 from .. import faults
 from ..riscv.decoder import DecodeError, decode
-from ..riscv.encoding import sign_extend, to_unsigned
 from . import fp
 from .executor import (
-    BRANCH_OPS, FMA_SIGNS, LOADS, RI_OPS, RR_OPS, SHIFT_OPS, STORES,
-    UNARY_OPS, SimFault, _sx, build_body,
+    BRANCHES, HELPERS, LOADS, STORES, TABLE, SimFault, build_body,
+    upper_immediate,
 )
 from .memory import MemoryFault
 from .timing import category_of
@@ -159,6 +161,14 @@ def clear_code_memo() -> None:
 #: binary64 codec the megatrace fld/fsd fast paths bind (``UD``/``PD``)
 _DOUBLE = struct.Struct("<d")
 
+#: superblock operand spellings per integer register
+_XREG = tuple(f"x[{r}]" for r in range(32))
+_XSX = tuple(f"sx(x[{r}])" for r in range(32))
+
+#: signed load width -> (upper-bit fill, sign bit) source literals
+_SIGN_FILL = {n: (f"{_MASK64 ^ ((1 << 8 * n) - 1):#x}", f"{1 << 8 * n - 1:#x}")
+              for n in (1, 2, 4)}
+
 
 def _base_ns(cache: "TraceCache") -> dict:
     """The namespace every generated trace function closes over (via
@@ -169,7 +179,7 @@ def _base_ns(cache: "TraceCache") -> dict:
         "ri": m.mem.read_int, "si": m.mem.write_int,
         "PG": m.mem._pages.get, "FB": int.from_bytes,
         "UD": _DOUBLE.unpack_from, "PD": _DOUBLE.pack_into,
-        "sx": _sx, "L": cache._link, "MT": cache._promote,
+        "L": cache._link, "MT": cache._promote,
         "JM": cache._jalr_miss, "GH": cache.jalr_hits,
         "D": cache.deopt_count,
         "F64": fp.f64_from_bits, "B64": fp.bits_from_f64,
@@ -411,7 +421,7 @@ class TraceCache:
                 emit.finish_cut(pc, chain=False)
                 return emit.build(), pc
             mn = instr.mnemonic
-            if mn in BRANCH_OPS:
+            if mn in BRANCHES:
                 emit.emit_branch(pc, instr)
                 return emit.build(), pc + instr.length
             if mn == "jal":
@@ -453,7 +463,7 @@ class TraceCache:
                 return
             visited.add(pc)
             mn = instr.mnemonic
-            if mn in BRANCH_OPS:
+            if mn in BRANCHES:
                 pc = emit.emit_branch(pc, instr)
             elif mn == "jal":
                 pc = emit.emit_jal(pc, instr)
@@ -511,8 +521,9 @@ class TraceCache:
         return emit.build_result()
 
 
-class _Emitter:
-    """Generates the Python source of one superblock function."""
+class _EmitterBase:
+    """What both tiers' source generators share: bookkeeping, chain
+    cells, the expression-table renderer and the page-lookup load."""
 
     def __init__(self, cache: TraceCache, entry: int):
         self.cache = cache
@@ -524,23 +535,33 @@ class _Emitter:
         self.count = 0
         self.cost = 0
         self.cells = 0
-        self.has_hot = False
         # fault side table: ip -> (pc, ucycles-before, instret-before)
         self.sync_pc = [entry]
         self.sync_cost = [0]
         self.sync_count = [0]
         self._tmp = 0
-        # block-granularity observation: compile one block-enter emit
-        # into the trace prologue.  _rebuild_emit flushes the cache
-        # whenever this mode (or the emit fan-out) changes, so binding
-        # the current emit callable at compile time is safe.
-        m = self.m
-        if m._trace_events and m._emit is not None:
-            self.ns["EV"] = m._emit
-            self.lines.append(
-                f"EV((5, {entry:#x}, 0, m.instret, m.ucycles))")
 
-    # -- helpers ---------------------------------------------------------
+    # -- operands ----------------------------------------------------------
+    # Superblocks read the architectural list and know no constants; the
+    # megatrace emitter overrides all three.  (Plain lookups rather than
+    # methods: emission cost is paid on every cold block.)
+
+    #: read expression for integer register *r*
+    use = _XREG.__getitem__
+    #: signed read expression for integer register *r*
+    use_sx = _XSX.__getitem__
+    #: emission-time value of register *r*, or None if unknown
+    const_of = {}.get
+
+    def _render(self, row, f: dict, reg=None) -> str:
+        """Source of expression-table *row* for fields *f*, with the
+        helpers it calls bound into the namespace."""
+        if row.helpers:
+            for h in row.helpers:
+                self.ns[h] = HELPERS[h]
+        return row.render(f, reg or self.use, self.use_sx)
+
+    # -- bookkeeping -------------------------------------------------------
 
     def _bind_body(self, body) -> str:
         name = f"b{self.count}"
@@ -560,31 +581,114 @@ class _Emitter:
             category_of(mn, instr.spec.match & 0x7F))
         self.count += 1
 
-    def _bookkeep(self) -> None:
-        self.lines.append(f"m.ucycles += {self.cost}")
-        self.lines.append(f"m.instret += {self.count}")
-
     def _chain_cell(self) -> int:
         k = self.cells
         self.cells += 1
         return k
 
-    def _chain_return(self, target: int) -> None:
+    def _chain_return(self, target: int, indent: str = "",
+                      k: int | None = None) -> None:
+        """Return the trace at *target* through chain cell *k*."""
+        if k is None:
+            k = self._chain_cell()
+        self.lines += [f"{indent}t = S[{k}]", f"{indent}if t is None:",
+                       f"{indent}    t = L(S, {k}, {target:#x})",
+                       f"{indent}return t"]
+
+    def _jalr_guard(self) -> None:
+        """Leave through the jalr target ``t``: guard-based target
+        specialization remembers the observed target and chains
+        straight to its trace while the guard holds."""
+        self.ns["G"] = [None, 0]
         k = self._chain_cell()
-        self.lines.append(f"t = S[{k}]")
-        self.lines.append("if t is None:")
-        self.lines.append(f"    t = L(S, {k}, {target:#x})")
-        self.lines.append("return t")
+        self.lines += ["if t == G[0]:", f"    f = S[{k}]",
+                       "    if f is not None:", "        GH[0] += 1",
+                       "        return f", f"    return L(S, {k}, t)",
+                       f"return JM(G, S, {k}, t)"]
+
+    def _temp(self) -> str:
+        self._tmp += 1
+        return f"v{self._tmp}"
+
+    # -- memory access ------------------------------------------------------
+
+    def _addr_expr(self, rs1: int, imm: int) -> str:
+        c = self.const_of(rs1)
+        if c is not None:
+            return f"{(c + imm) & _MASK64:#x}"
+        if imm == 0:
+            return self.use(rs1)
+        return f"({self.use(rs1)} + {imm}) & {_M64}"
+
+    def _page_ref(self, rs1: int, imm: int, size: int):
+        """Emit the page lookup for the access (*rs1* + *imm*, *size*)
+        into local ``pg``.  Returns ``(addr, off, miss, page)`` source
+        expressions: the address, its page offset, the condition under
+        which the access must take the ``ri``/``si`` slow path
+        (unmapped page or page-crossing access), and the page index.
+        A constant address that crosses a page has only the slow path:
+        ``miss`` is then ``None`` and nothing is emitted."""
+        c = self.const_of(rs1)
+        if c is None:
+            a = self.use(rs1)
+            self.lines += [f"a = ({a} + {imm}) & {_M64}" if imm else
+                           f"a = {a}", "pg = PG(a >> 12)", "o = a & 4095"]
+            return "a", "o", f"pg is None or o > {4096 - size}", "a >> 12"
+        addr = (c + imm) & _MASK64
+        off = addr & 4095
+        if off > 4096 - size:
+            return f"{addr:#x}", None, None, None
+        self.lines.append(f"pg = PG({addr >> 12:#x})")
+        return f"{addr:#x}", str(off), "pg is None", f"{addr >> 12:#x}"
+
+    def _read_into(self, v: str, rs1: int, imm: int, size: int) -> None:
+        """Load the little-endian value at (*rs1* + *imm*) into *v*,
+        straight from the page buffer when mapped and on-page, else
+        through ``read_int`` (which raises MemoryFault with ``ip``
+        already synced).  Reads never touch the write watch, so the
+        fast path is invalidation-safe."""
+        a, o, miss, _ = self._page_ref(rs1, imm, size)
+        if miss is None:
+            self.lines.append(f"{v} = ri({a}, {size})")
+        else:
+            self.lines += [f"if {miss}:", f"    {v} = ri({a}, {size})",
+                           "else:",
+                           f"    {v} = FB(pg[{o}:{o} + {size}], 'little')"]
+
+    @staticmethod
+    def _extend(v: str, size: int, signed: bool) -> str:
+        """Loaded value *v* widened to the 64-bit register value."""
+        if not signed or size == 8:
+            return v
+        ext, sbit = _SIGN_FILL[size]
+        return f"{v} | {ext} if {v} & {sbit} else {v}"
+
+
+class _Emitter(_EmitterBase):
+    """Generates the Python source of one superblock function."""
+
+    def __init__(self, cache: TraceCache, entry: int):
+        super().__init__(cache, entry)
+        self.has_hot = False
+        # block-granularity observation: compile one block-enter emit
+        # into the trace prologue.  _rebuild_emit flushes the cache
+        # whenever this mode (or the emit fan-out) changes, so binding
+        # the current emit callable at compile time is safe.
+        m = self.m
+        if m._trace_events and m._emit is not None:
+            self.ns["EV"] = m._emit
+            self.lines.append(
+                f"EV((5, {entry:#x}, 0, m.instret, m.ucycles))")
+
+    def _bookkeep(self) -> None:
+        self.lines.append(f"m.ucycles += {self.cost}")
+        self.lines.append(f"m.instret += {self.count}")
 
     def _hot_chain_return(self, target: int, indent: str = "") -> None:
         """Chain return over a backward edge: count executions and
         promote the target to a megatrace once hot."""
         if (not self.cache.mega_enabled or self.m._trace_events):
-            k = self._chain_cell()
-            self.lines.append(f"{indent}t = S[{k}]")
-            self.lines.append(f"{indent}if t is None:")
-            self.lines.append(f"{indent}    t = L(S, {k}, {target:#x})")
-            self.lines.append(f"{indent}return t")
+            self._chain_return(target, indent)
             return
         if not self.has_hot:
             self.has_hot = True
@@ -595,10 +699,7 @@ class _Emitter:
             f"{indent}if C[0] >= {self.cache.hot_threshold}:")
         self.lines.append(f"{indent}    C[0] = 0")
         self.lines.append(f"{indent}    return MT(S, {k}, {target:#x})")
-        self.lines.append(f"{indent}t = S[{k}]")
-        self.lines.append(f"{indent}if t is None:")
-        self.lines.append(f"{indent}    t = L(S, {k}, {target:#x})")
-        self.lines.append(f"{indent}return t")
+        self._chain_return(target, indent, k)
 
     # -- straight-line instructions --------------------------------------
 
@@ -606,30 +707,53 @@ class _Emitter:
         """Emit one non-control instruction; False if untraceable."""
         mn = instr.mnemonic
         f = instr.fields
-        line = self._inline(pc, mn, f)
-        if line is not None:
-            for ln in (line if isinstance(line, list) else [line]):
-                self.lines.append(ln)
-            self._charge(mn, instr)
-            return True
-        if mn in STORES or mn in ("fsw", "fsd"):
+        row = TABLE.get(mn)
+        if row is not None and row.kind == "fp":
+            g, b = ("F32", "B32") if mn.endswith(".s") else ("F64", "B64")
+            expr = self._render(row, f, lambda r: f"{g}(fr[{r}])")
+            self.lines.append(f"fr[{f['rd']}] = {b}({expr})")
+        elif row is not None:
+            if f["rd"]:
+                self.lines.append(f"x[{f['rd']}] = {self._render(row, f)}")
+        elif mn in LOADS or mn in ("flw", "fld"):
+            self._emit_load(pc, mn, f)
+        elif mn in STORES or mn in ("fsw", "fsd"):
             self._emit_store(pc, mn, f, instr)
             return True
-        if mn in ("ecall", "ebreak", "fence", "fence.i") or \
-                mn.startswith(("csr", "lr.", "sc.", "amo")):
-            return False
-        body = build_body(self.m, pc, instr)
-        if body is None:
-            return False
-        self._mark(pc)
-        self.lines.append(f"{self._bind_body(body)}()")
+        elif (const := upper_immediate(pc, instr)) is not None:
+            if f["rd"]:
+                self.lines.append(f"x[{f['rd']}] = {const:#x}")
+        else:
+            # ecall/ebreak/fences/CSR/atomics have no body: untraceable
+            body = build_body(self.m, pc, instr)
+            if body is None:
+                return False
+            self._mark(pc)
+            self.lines.append(f"{self._bind_body(body)}()")
         self._charge(mn, instr)
         return True
+
+    def _emit_load(self, pc: int, mn: str, f: dict) -> None:
+        rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
+        self._mark(pc)
+        v = self._temp()
+        if mn == "flw":
+            self._read_into(v, rs1, imm, 4)
+            self.lines.append(f"fr[{rd}] = 0xFFFFFFFF00000000 | {v}")
+        elif mn == "fld":
+            self._read_into(v, rs1, imm, 8)
+            self.lines.append(f"fr[{rd}] = {v}")
+        elif rd:
+            size, signed = LOADS[mn]
+            self._read_into(v, rs1, imm, size)
+            self.lines.append(f"x[{rd}] = {self._extend(v, size, signed)}")
+        else:
+            self.lines.append(f"ri({self._addr_expr(rs1, imm)}, {LOADS[mn][0]})")
 
     def _emit_store(self, pc: int, mn: str, f: dict, instr) -> None:
         size = STORES.get(mn) or (4 if mn == "fsw" else 8)
         src = "fr" if mn in ("fsw", "fsd") else "x"
-        addr = f"(x[{f['rs1']}] + {f['imm']}) & {_M64}"
+        addr = self._addr_expr(f["rs1"], f["imm"])
         self._mark(pc)
         self.lines.append(f"si({addr}, {size}, {src}[{f['rs2']}])")
         self._charge(mn, instr)
@@ -643,160 +767,13 @@ class _Emitter:
         self.lines.append(f"    m.instret += {self.count}")
         self.lines.append("    return None")
 
-    def _inline(self, pc: int, mn: str, f: dict):
-        """Source line(s) for the hot straight-line forms, else None."""
-        if mn in RI_OPS:
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            if rd == 0:
-                return "pass"
-            if mn == "addi":
-                if imm == 0:
-                    return f"x[{rd}] = x[{rs1}]"
-                return f"x[{rd}] = (x[{rs1}] + {imm}) & {_M64}"
-            u = imm & ((1 << 64) - 1)
-            if mn == "andi":
-                return f"x[{rd}] = x[{rs1}] & {u:#x}"
-            if mn == "ori":
-                return f"x[{rd}] = x[{rs1}] | {u:#x}"
-            if mn == "xori":
-                return f"x[{rd}] = x[{rs1}] ^ {u:#x}"
-            if mn == "slti":
-                return f"x[{rd}] = 1 if sx(x[{rs1}]) < {imm} else 0"
-            if mn == "sltiu":
-                return f"x[{rd}] = 1 if x[{rs1}] < {u:#x} else 0"
-            if mn == "addiw":
-                v = self._temp()
-                return [f"{v} = (x[{rs1}] + {imm}) & 0xFFFFFFFF",
-                        f"x[{rd}] = {v} | 0xFFFFFFFF00000000 "
-                        f"if {v} & 0x80000000 else {v}"]
-            return None
-        if mn in SHIFT_OPS:
-            rd, rs1, sh = f["rd"], f["rs1"], f["shamt"]
-            if rd == 0:
-                return "pass"
-            if mn == "slli":
-                return f"x[{rd}] = (x[{rs1}] << {sh}) & {_M64}"
-            if mn == "srli":
-                return f"x[{rd}] = x[{rs1}] >> {sh}"
-            if mn == "srai":
-                return f"x[{rd}] = (sx(x[{rs1}]) >> {sh}) & {_M64}"
-            return None
-        if mn in RR_OPS:
-            rd, a, b = f["rd"], f["rs1"], f["rs2"]
-            if rd == 0:
-                return "pass"
-            if mn == "add":
-                return f"x[{rd}] = (x[{a}] + x[{b}]) & {_M64}"
-            if mn == "sub":
-                return f"x[{rd}] = (x[{a}] - x[{b}]) & {_M64}"
-            if mn == "mul":
-                return f"x[{rd}] = (x[{a}] * x[{b}]) & {_M64}"
-            if mn == "and":
-                return f"x[{rd}] = x[{a}] & x[{b}]"
-            if mn == "or":
-                return f"x[{rd}] = x[{a}] | x[{b}]"
-            if mn == "xor":
-                return f"x[{rd}] = x[{a}] ^ x[{b}]"
-            if mn == "sltu":
-                return f"x[{rd}] = 1 if x[{a}] < x[{b}] else 0"
-            if mn == "slt":
-                return f"x[{rd}] = 1 if sx(x[{a}]) < sx(x[{b}]) else 0"
-            if mn in ("addw", "subw", "mulw"):
-                op = {"addw": "+", "subw": "-", "mulw": "*"}[mn]
-                v = self._temp()
-                return [f"{v} = (x[{a}] {op} x[{b}]) & 0xFFFFFFFF",
-                        f"x[{rd}] = {v} | 0xFFFFFFFF00000000 "
-                        f"if {v} & 0x80000000 else {v}"]
-            return None
-        if mn == "lui" or mn == "auipc":
-            rd = f["rd"]
-            if rd == 0:
-                return "pass"
-            val = sign_extend(f["imm"], 20) << 12
-            if mn == "auipc":
-                val += pc
-            return f"x[{rd}] = {to_unsigned(val, 64):#x}"
-        if mn in LOADS:
-            size, signed = LOADS[mn]
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            addr = f"(x[{rs1}] + {imm}) & {_M64}"
-            if rd == 0:
-                self._mark(pc)
-                return [f"ri({addr}, {size})"]
-            v = self._temp()
-            self._mark(pc)
-            lines = self._load_lines(v, addr, size)
-            if not signed or size == 8:
-                lines.append(f"x[{rd}] = {v}")
-            else:
-                sbit = 1 << (size * 8 - 1)
-                ext = ((1 << 64) - 1) ^ ((1 << (size * 8)) - 1)
-                lines.append(f"x[{rd}] = {v} | {ext:#x} "
-                             f"if {v} & {sbit:#x} else {v}")
-            return lines
-        if mn in ("flw", "fld"):
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            addr = f"(x[{rs1}] + {imm}) & {_M64}"
-            size = 4 if mn == "flw" else 8
-            v = self._temp()
-            self._mark(pc)
-            lines = self._load_lines(v, addr, size)
-            if mn == "flw":
-                lines.append(f"fr[{rd}] = 0xFFFFFFFF00000000 | {v}")
-            else:
-                lines.append(f"fr[{rd}] = {v}")
-            return lines
-        parts = mn.split(".")
-        if len(parts) == 2 and parts[1] in ("s", "d"):
-            root, fmt = parts
-            G = "F32" if fmt == "s" else "F64"
-            B = "B32" if fmt == "s" else "B64"
-            if root in ("fadd", "fsub", "fmul"):
-                op = {"fadd": "+", "fsub": "-", "fmul": "*"}[root]
-                rd, a, b = f["rd"], f["rs1"], f["rs2"]
-                return f"fr[{rd}] = {B}({G}(fr[{a}]) {op} {G}(fr[{b}]))"
-            if root in FMA_SIGNS:
-                ps, qs = FMA_SIGNS[root]
-                rd, a, b, c = f["rd"], f["rs1"], f["rs2"], f["rs3"]
-                return (f"fr[{rd}] = {B}({ps} * ({G}(fr[{a}]) * "
-                        f"{G}(fr[{b}])) + {qs} * {G}(fr[{c}]))")
-        return None
-
-    def _temp(self) -> str:
-        self._tmp += 1
-        return f"v{self._tmp}"
-
-    def _load_lines(self, v: str, addr: str, size: int) -> list[str]:
-        """Memory read with the page-dict access inlined; falls back to
-        ``read_int`` off-page-fastpath (cross-page or unmapped — the
-        latter raises MemoryFault with ``ip`` already synced).  Reads
-        never touch the write watch, so inlining is invalidation-safe;
-        stores always go through ``write_int``."""
-        return [
-            f"a = {addr}",
-            "pg = PG(a >> 12)",
-            "o = a & 4095",
-            f"if pg is None or o > {4096 - size}:",
-            f"    {v} = ri(a, {size})",
-            "else:",
-            f"    {v} = FB(pg[o:o + {size}], 'little')",
-        ]
-
     # -- terminators -----------------------------------------------------
 
     def emit_branch(self, pc: int, instr) -> None:
         f = instr.fields
-        a, b = f["rs1"], f["rs2"]
         taken = pc + f["imm"]
         fall = pc + instr.length
-        cond = {
-            "beq": f"x[{a}] == x[{b}]",
-            "bne": f"x[{a}] != x[{b}]",
-            "bltu": f"x[{a}] < x[{b}]",
-            "bgeu": f"x[{a}] >= x[{b}]",
-            "blt": f"sx(x[{a}]) < sx(x[{b}])",
-            "bge": f"sx(x[{a}]) >= sx(x[{b}])",
-        }[instr.mnemonic]
+        cond = self._render(TABLE[instr.mnemonic], f)
         self._charge(instr.mnemonic, instr)
         self._bookkeep()
         self.lines.append(f"if {cond}:")
@@ -806,11 +783,7 @@ class _Emitter:
             # megatrace promotion
             self._hot_chain_return(taken, indent="    ")
         else:
-            k = self._chain_cell()
-            self.lines.append(f"    t = S[{k}]")
-            self.lines.append("    if t is None:")
-            self.lines.append(f"        t = L(S, {k}, {taken:#x})")
-            self.lines.append("    return t")
+            self._chain_return(taken, indent="    ")
         self.lines.append(f"m.pc = {fall:#x}")
         self._chain_return(fall)
 
@@ -838,17 +811,7 @@ class _Emitter:
             self.lines.append(f"x[{rd}] = {pc + instr.length:#x}")
         self._bookkeep()
         self.lines.append("m.pc = t")
-        # guard-based target specialization: remember the observed
-        # target and chain straight to its trace while the guard holds
-        self.ns["G"] = [None, 0]
-        k = self._chain_cell()
-        self.lines.append("if t == G[0]:")
-        self.lines.append(f"    f = S[{k}]")
-        self.lines.append("    if f is not None:")
-        self.lines.append("        GH[0] += 1")
-        self.lines.append("        return f")
-        self.lines.append(f"    return L(S, {k}, t)")
-        self.lines.append(f"return JM(G, S, {k}, t)")
+        self._jalr_guard()
 
     def finish_cut(self, next_pc: int, chain: bool) -> None:
         """End a block without a control transfer (max length reached or
@@ -885,25 +848,14 @@ class _Emitter:
         return env["__trace__"]
 
 
-class _MegaEmitter:
+class _MegaEmitter(_EmitterBase):
     """Generates the Python source of one megatrace: a ``while True:``
     loop over the hot path rooted at a loop head, with the referenced
     integer registers cached in Python locals and immediates
     constant-folded at emission time."""
 
     def __init__(self, cache: TraceCache, entry: int):
-        self.cache = cache
-        self.m = cache.m
-        self.entry = entry
-        self.lines: list[str] = []
-        self.ns = _base_ns(cache)
-        self.count = 0
-        self.cost = 0
-        self.cells = 0
-        self.sync_pc = [entry]
-        self.sync_cost = [0]
-        self.sync_count = [0]
-        self._tmp = 0
+        super().__init__(cache, entry)
         #: emission-time constant values per register (linear
         #: const-prop; x0 is always 0).  An entry here means "the
         #: emission-order-last write to this register was the literal" —
@@ -994,7 +946,7 @@ class _MegaEmitter:
         """Signed read expression for register *r*."""
         c = self.consts.get(r)
         if c is not None:
-            return str(_sx(c))
+            return str(HELPERS["sx"](c))
         self.localized.add(r)
         return f"sx(r{r})"
 
@@ -1120,11 +1072,6 @@ class _MegaEmitter:
 
     # -- bookkeeping helpers ---------------------------------------------
 
-    def _charge(self, mn: str, instr) -> None:
-        self.cost += self.m.timing.ucycles(
-            category_of(mn, instr.spec.match & 0x7F))
-        self.count += 1
-
     def _cover(self, pc: int, length: int) -> None:
         self._pcs.append((pc, pc + length))
 
@@ -1143,15 +1090,6 @@ class _MegaEmitter:
             ents.append((r, b if b and b.isidentifier() else None))
         self.sync_fp.append(tuple(ents))
         self.lines.append(f"ip = {ip}")
-
-    def _chain_cell(self) -> int:
-        k = self.cells
-        self.cells += 1
-        return k
-
-    def _temp(self) -> str:
-        self._tmp += 1
-        return f"v{self._tmp}"
 
     def _flush(self, indent: str) -> None:
         self.lines.append(f"{indent}uc += {self.cost}")
@@ -1301,11 +1239,7 @@ class _MegaEmitter:
     def exit_chain(self, target: int, indent: str = "") -> None:
         """Side exit to a known pc, chained to its compiled trace."""
         self._sync_exit(f"{target:#x}", indent)
-        k = self._chain_cell()
-        self.lines.append(f"{indent}t = S[{k}]")
-        self.lines.append(f"{indent}if t is None:")
-        self.lines.append(f"{indent}    t = L(S, {k}, {target:#x})")
-        self.lines.append(f"{indent}return t")
+        self._chain_return(target, indent)
 
     def exit_plain(self, target: int, indent: str = "") -> None:
         """Side exit to a pc the trace compiler cannot handle (the
@@ -1320,23 +1254,16 @@ class _MegaEmitter:
         at, or None if the emitter closed the trace."""
         mn = instr.mnemonic
         f = instr.fields
-        a, b = f["rs1"], f["rs2"]
         taken = pc + f["imm"]
         fall = pc + instr.length
         self._cover(pc, instr.length)
         self._charge(mn, instr)
-        ca, cb = self.const_of(a), self.const_of(b)
-        if ca is not None and cb is not None:
+        row = TABLE[mn]
+        known = self._fold(row, f)
+        if known is not None:
             # both operands known: the branch folds to a direct jump
-            return taken if BRANCH_OPS[mn](ca, cb) else fall
-        cond = {
-            "beq": f"{self.use(a)} == {self.use(b)}",
-            "bne": f"{self.use(a)} != {self.use(b)}",
-            "bltu": f"{self.use(a)} < {self.use(b)}",
-            "bgeu": f"{self.use(a)} >= {self.use(b)}",
-            "blt": f"{self.use_sx(a)} < {self.use_sx(b)}",
-            "bge": f"{self.use_sx(a)} >= {self.use_sx(b)}",
-        }[mn]
+            return taken if known else fall
+        cond = self._render(row, f)
         self.lines.append(f"if {cond}:")
         if taken == self.entry:
             # the loop's own back-edge: guard and start the next
@@ -1386,15 +1313,7 @@ class _MegaEmitter:
         self.lines.append("m.pc = t")
         self.lines.append(f"m.ucycles += uc + {self.cost}")
         self.lines.append(f"m.instret += ir + {self.count}")
-        self.ns["G"] = [None, 0]
-        k = self._chain_cell()
-        self.lines.append("if t == G[0]:")
-        self.lines.append(f"    f = S[{k}]")
-        self.lines.append("    if f is not None:")
-        self.lines.append("        GH[0] += 1")
-        self.lines.append("        return f")
-        self.lines.append(f"    return L(S, {k}, t)")
-        self.lines.append(f"return JM(G, S, {k}, t)")
+        self._jalr_guard()
         return None
 
     # -- straight-line instructions ---------------------------------------
@@ -1407,10 +1326,7 @@ class _MegaEmitter:
         if mn in STORES or mn in ("fsw", "fsd"):
             self._emit_store(pc, mn, f, instr)
             return True
-        if mn in ("ecall", "ebreak", "fence", "fence.i") or \
-                mn.startswith(("csr", "lr.", "sc.", "amo")):
-            return False
-        body = build_body(self.m, pc, instr)
+        body = build_body(self.m, pc, instr)  # None: untraceable
         if body is None:
             return False
         # fallback body closures read/write the architectural x list:
@@ -1429,280 +1345,115 @@ class _MegaEmitter:
         self.mem_known.clear()  # the body may store anywhere
         return True
 
-    def _bind_body(self, body) -> str:
-        name = f"b{self.count}"
-        self.ns[name] = body
-        return name
-
     def _inline(self, pc: int, mn: str, f: dict, instr) -> bool:
-        """Emit the hot straight-line forms against register locals
-        (with constant folding); False if the form is not inlined."""
-        if mn in RI_OPS:
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            c = self.const_of(rs1)
-            if rd == 0:
-                pass
-            elif c is not None:
-                self.set_const(rd, RI_OPS[mn](c, imm))
-            elif mn == "addi":
-                if imm == 0:
-                    if rd != rs1:
-                        self.set_expr(rd, self.use(rs1))
-                else:
-                    self.set_expr(
-                        rd, f"({self.use(rs1)} + {imm}) & {_M64}")
-            elif mn == "andi":
-                self.set_expr(
-                    rd, f"{self.use(rs1)} & {imm & _MASK64:#x}")
-            elif mn == "ori":
-                self.set_expr(
-                    rd, f"{self.use(rs1)} | {imm & _MASK64:#x}")
-            elif mn == "xori":
-                self.set_expr(
-                    rd, f"{self.use(rs1)} ^ {imm & _MASK64:#x}")
-            elif mn == "slti":
-                self.set_expr(
-                    rd, f"1 if {self.use_sx(rs1)} < {imm} else 0")
-            elif mn == "sltiu":
-                self.set_expr(
-                    rd, f"1 if {self.use(rs1)} < {imm & _MASK64:#x} "
-                        f"else 0")
-            elif mn == "addiw":
-                v = self._temp()
-                self.lines.append(
-                    f"{v} = ({self.use(rs1)} + {imm}) & 0xFFFFFFFF")
-                self.set_expr(
-                    rd, f"{v} | 0xFFFFFFFF00000000 "
-                        f"if {v} & 0x80000000 else {v}")
-            else:
-                return False
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn in SHIFT_OPS:
-            rd, rs1, sh = f["rd"], f["rs1"], f["shamt"]
-            c = self.const_of(rs1)
-            if rd == 0:
-                pass
-            elif c is not None:
-                self.set_const(rd, SHIFT_OPS[mn](c, sh))
-            elif mn == "slli":
-                self.set_expr(rd, f"({self.use(rs1)} << {sh}) & {_M64}")
-            elif mn == "srli":
-                self.set_expr(rd, f"{self.use(rs1)} >> {sh}")
-            elif mn == "srai":
-                self.set_expr(
-                    rd, f"(sx({self.use(rs1)}) >> {sh}) & {_M64}")
-            else:
-                return False
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn in RR_OPS:
-            rd, a, b = f["rd"], f["rs1"], f["rs2"]
-            ca, cb = self.const_of(a), self.const_of(b)
-            if rd == 0:
-                pass
-            elif ca is not None and cb is not None:
-                self.set_const(rd, RR_OPS[mn](ca, cb))
-            elif mn == "add":
-                self.set_expr(
-                    rd, f"({self.use(a)} + {self.use(b)}) & {_M64}")
-            elif mn == "sub":
-                self.set_expr(
-                    rd, f"({self.use(a)} - {self.use(b)}) & {_M64}")
-            elif mn == "mul":
-                self.set_expr(
-                    rd, f"({self.use(a)} * {self.use(b)}) & {_M64}")
-            elif mn == "and":
-                self.set_expr(rd, f"{self.use(a)} & {self.use(b)}")
-            elif mn == "or":
-                self.set_expr(rd, f"{self.use(a)} | {self.use(b)}")
-            elif mn == "xor":
-                self.set_expr(rd, f"{self.use(a)} ^ {self.use(b)}")
-            elif mn == "sltu":
-                self.set_expr(
-                    rd, f"1 if {self.use(a)} < {self.use(b)} else 0")
-            elif mn == "slt":
-                self.set_expr(
-                    rd, f"1 if {self.use_sx(a)} < {self.use_sx(b)} "
-                        f"else 0")
-            elif mn == "sll":
-                self.set_expr(
-                    rd,
-                    f"({self.use(a)} << ({self.use(b)} & 63)) & {_M64}")
-            elif mn == "srl":
-                self.set_expr(
-                    rd, f"{self.use(a)} >> ({self.use(b)} & 63)")
-            elif mn == "sra":
-                self.set_expr(
-                    rd, f"(sx({self.use(a)}) >> ({self.use(b)} & 63))"
-                        f" & {_M64}")
-            elif mn in ("addw", "subw", "mulw"):
-                op = {"addw": "+", "subw": "-", "mulw": "*"}[mn]
-                v = self._temp()
-                self.lines.append(
-                    f"{v} = ({self.use(a)} {op} {self.use(b)})"
-                    f" & 0xFFFFFFFF")
-                self.set_expr(
-                    rd, f"{v} | 0xFFFFFFFF00000000 "
-                        f"if {v} & 0x80000000 else {v}")
-            else:
-                return False
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn in UNARY_OPS:
-            rd, rs1 = f["rd"], f["rs1"]
-            c = self.const_of(rs1)
-            if rd == 0:
-                pass
-            elif c is not None:
-                self.set_const(rd, UNARY_OPS[mn](c))
-            else:
-                return False  # rare; body fallback
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn == "lui" or mn == "auipc":
+        """Emit the expression-table rows, constants, loads and ``fld``
+        against register locals (with constant folding); False if the
+        form is not inlined."""
+        row = TABLE.get(mn)
+        if row is not None and row.kind == "fp":
+            self._emit_fp_row(mn, row, f)
+        elif row is not None:
             rd = f["rd"]
             if rd:
-                val = sign_extend(f["imm"], 20) << 12
-                if mn == "auipc":
-                    val += pc
-                self.set_const(rd, to_unsigned(val, 64))
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn in LOADS:
+                val = self._fold(row, f)
+                if val is not None:
+                    self.set_const(rd, val)
+                elif (expr := self._render(row, f)) != f"r{rd}":
+                    self.set_expr(rd, expr)
+        elif mn in LOADS:
             size, signed = LOADS[mn]
             rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            self._cover(pc, instr.length)
-            if rd == 0:
-                if self.mem_known.get(
-                        self._mem_key(rs1, imm, size)) is None:
-                    self._mark(pc)
-                    self.lines.append(
-                        f"ri({self._addr_expr(rs1, imm)}, {size})")
-                self._charge(mn, instr)
-                return True
-            v = self._load_value(pc, rs1, imm, size)
-            if not signed or size == 8:
-                self.set_expr(rd, v)
-            else:
-                sbit = 1 << (size * 8 - 1)
-                ext = _MASK64 ^ ((1 << (size * 8)) - 1)
-                self.set_expr(
-                    rd, f"{v} | {ext:#x} if {v} & {sbit:#x} else {v}")
-            self._charge(mn, instr)
-            return True
-        if mn in ("flw", "fld"):
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            self._cover(pc, instr.length)
-            if mn == "flw":
-                v = self._load_value(pc, rs1, imm, 4)
-                self._fp_def(rd)
-                self.lines.append(
-                    f"fr[{rd}] = 0xFFFFFFFF00000000 | {v}")
-                self._charge(mn, instr)
-                return True
-            # fld goes straight into the float cache: fr[rd] stays
-            # stale (dirty) until a sync point needs the bit pattern
-            key = self._mem_key(rs1, imm, 8)
-            fsrc = self.fp_mem.get(key)
-            bits = self.mem_known.get(key)
-            if fsrc is not None and fsrc in self.fp_float:
-                # the slot's float is already live in a local: the
-                # reload is at most a local-to-local copy
-                if fsrc != rd:
-                    self._fp_kill_g(rd)
-                    self.lines.append(f"g{rd} = g{fsrc}")
-            elif bits is not None:
-                self._fp_kill_g(rd)
-                self.lines.append(f"g{rd} = F64({bits})")
-                self.fp_mem[key] = rd
-            else:
-                # unpack the double straight from the page buffer; the
-                # bit pattern is only built if a sync point needs it
+            if rd:
+                v = self._load_value(pc, rs1, imm, size)
+                self.set_expr(rd, self._extend(v, size, signed))
+            elif self.mem_known.get(self._mem_key(rs1, imm, size)) is None:
                 self._mark(pc)
-                self._fp_kill_g(rd)
-                a, o, miss, _ = self._page_ref(rs1, imm, 8)
-                slow = f"g{rd} = F64(ri({a}, 8))"
-                if miss is None:
-                    self.lines.append(slow)
-                else:
-                    self.lines += [f"if {miss}:", f"    {slow}", "else:",
-                                   f"    g{rd} = UD(pg, {o})[0]"]
-                self.fp_mem[key] = rd
+                self.lines.append(f"ri({self._addr_expr(rs1, imm)}, {size})")
+        elif mn == "flw":
+            rd = f["rd"]
+            v = self._load_value(pc, f["rs1"], f["imm"], 4)
+            self._fp_def(rd)
+            self.lines.append(f"fr[{rd}] = 0xFFFFFFFF00000000 | {v}")
+        elif mn == "fld":
+            self._emit_fld(pc, f)
+        elif (const := upper_immediate(pc, instr)) is not None:
+            self.set_const(f["rd"], const)
+        else:
+            return False
+        self._cover(pc, instr.length)
+        self._charge(mn, instr)
+        return True
+
+    def _fold(self, row, f: dict):
+        """*row*'s value when every register operand it reads is a
+        known constant, else None."""
+        vals = []
+        for k in row.args:
+            v = self.const_of(f[k]) if k[0] == "r" else f[k]
+            if v is None:
+                return None
+            vals.append(v)
+        return row.fn(*vals)
+
+    def _emit_fp_row(self, mn: str, row, f: dict) -> None:
+        rd = f["rd"]
+        if mn.endswith(".d"):
+            # doubles compute on the float locals; fr[rd] stays stale
+            # (dirty) until a sync point needs the bit pattern
+            expr = self._render(row, f, self._fp_float_of)
+            self._fp_kill_g(rd)
+            self.lines.append(f"g{rd} = {expr}")
+            self.fp_bits.pop(rd, None)
             self.fp_float.add(rd)
-            if bits is not None:
-                self.fp_bits[rd] = bits
-            else:
-                self.fp_bits.pop(rd, None)
             self.fp_dirty.add(rd)
-            self._charge(mn, instr)
-            return True
-        parts = mn.split(".")
-        if len(parts) == 2 and parts[1] in ("s", "d"):
-            root, fmt = parts
-            G = "F32" if fmt == "s" else "F64"
-            B = "B32" if fmt == "s" else "B64"
-            if root in ("fadd", "fsub", "fmul"):
-                op = {"fadd": "+", "fsub": "-", "fmul": "*"}[root]
-                rd, a, b = f["rd"], f["rs1"], f["rs2"]
-                if fmt == "d":
-                    fa = self._fp_float_of(a)
-                    fb = self._fp_float_of(b)
-                    self._fp_kill_g(rd)
-                    self.lines.append(f"g{rd} = {fa} {op} {fb}")
-                    self.fp_bits.pop(rd, None)
-                    self.fp_float.add(rd)
-                    self.fp_dirty.add(rd)
-                else:
-                    self._fp_sync(a)
-                    self._fp_sync(b)
-                    self._fp_def(rd)
-                    self.lines.append(
-                        f"fr[{rd}] = {B}({G}(fr[{a}]) {op} "
-                        f"{G}(fr[{b}]))")
-                self._cover(pc, instr.length)
-                self._charge(mn, instr)
-                return True
-            if root in FMA_SIGNS:
-                ps, qs = FMA_SIGNS[root]
-                rd, a, b, c = f["rd"], f["rs1"], f["rs2"], f["rs3"]
-                if fmt == "d":
-                    fa = self._fp_float_of(a)
-                    fb = self._fp_float_of(b)
-                    fc = self._fp_float_of(c)
-                    self._fp_kill_g(rd)
-                    self.lines.append(
-                        f"g{rd} = {ps} * ({fa} * {fb}) + {qs} * {fc}")
-                    self.fp_bits.pop(rd, None)
-                    self.fp_float.add(rd)
-                    self.fp_dirty.add(rd)
-                else:
-                    self._fp_sync(a)
-                    self._fp_sync(b)
-                    self._fp_sync(c)
-                    self._fp_def(rd)
-                    self.lines.append(
-                        f"fr[{rd}] = {B}({ps} * ({G}(fr[{a}]) * "
-                        f"{G}(fr[{b}])) + {qs} * {G}(fr[{c}]))")
-                self._cover(pc, instr.length)
-                self._charge(mn, instr)
-                return True
-        return False
+        else:
+            expr = self._render(row, f, self._fp_single)
+            self._fp_def(rd)
+            self.lines.append(f"fr[{rd}] = B32({expr})")
+
+    def _fp_single(self, r: int) -> str:
+        """Single-precision operand: read from the synced ``fr`` slot."""
+        self._fp_sync(r)
+        return f"F32(fr[{r}])"
+
+    def _emit_fld(self, pc: int, f: dict) -> None:
+        """``fld`` goes straight into the float cache: fr[rd] stays
+        stale (dirty) until a sync point needs the bit pattern."""
+        rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
+        key = self._mem_key(rs1, imm, 8)
+        fsrc = self.fp_mem.get(key)
+        bits = self.mem_known.get(key)
+        if fsrc is not None and fsrc in self.fp_float:
+            # the slot's float is already live in a local: the
+            # reload is at most a local-to-local copy
+            if fsrc != rd:
+                self._fp_kill_g(rd)
+                self.lines.append(f"g{rd} = g{fsrc}")
+        elif bits is not None:
+            self._fp_kill_g(rd)
+            self.lines.append(f"g{rd} = F64({bits})")
+            self.fp_mem[key] = rd
+        else:
+            # unpack the double straight from the page buffer; the
+            # bit pattern is only built if a sync point needs it
+            self._mark(pc)
+            self._fp_kill_g(rd)
+            a, o, miss, _ = self._page_ref(rs1, imm, 8)
+            slow = f"g{rd} = F64(ri({a}, 8))"
+            if miss is None:
+                self.lines.append(slow)
+            else:
+                self.lines += [f"if {miss}:", f"    {slow}", "else:",
+                               f"    g{rd} = UD(pg, {o})[0]"]
+            self.fp_mem[key] = rd
+        self.fp_float.add(rd)
+        if bits is not None:
+            self.fp_bits[rd] = bits
+        else:
+            self.fp_bits.pop(rd, None)
+        self.fp_dirty.add(rd)
 
     # -- memory access ----------------------------------------------------
-
-    def _addr_expr(self, rs1: int, imm: int) -> str:
-        c = self.const_of(rs1)
-        if c is not None:
-            return f"{(c + imm) & _MASK64:#x}"
-        if imm == 0:
-            return self.use(rs1)
-        return f"({self.use(rs1)} + {imm}) & {_M64}"
 
     def _mem_key(self, rs1: int, imm: int, size: int) -> tuple:
         """Forwarding key for access (*rs1* + *imm*, *size*): absolute
@@ -1738,35 +1489,9 @@ class _MegaEmitter:
         v = self._stable(key)
         self._fp_purge_name(v)
         self._mark(pc)
-        a, o, miss, _ = self._page_ref(rs1, imm, size)
-        if miss is None:
-            self.lines.append(f"{v} = ri({a}, {size})")
-        else:
-            self.lines += [f"if {miss}:", f"    {v} = ri({a}, {size})",
-                           "else:",
-                           f"    {v} = FB(pg[{o}:{o} + {size}], 'little')"]
+        self._read_into(v, rs1, imm, size)
         self.mem_known[key] = v
         return v
-
-    def _page_ref(self, rs1: int, imm: int, size: int):
-        """Emit the page lookup for the access (*rs1* + *imm*, *size*)
-        into local ``pg``.  Returns ``(addr, off, miss, page)`` source
-        expressions: the address, its page offset, the condition under
-        which the access must take the ``ri``/``si`` slow path
-        (unmapped page or page-crossing access), and the page index.
-        A constant address that crosses a page has only the slow path:
-        ``miss`` is then ``None`` and nothing is emitted."""
-        c = self.const_of(rs1)
-        if c is None:
-            self.lines += [f"a = {self._addr_expr(rs1, imm)}",
-                           "pg = PG(a >> 12)", "o = a & 4095"]
-            return "a", "o", f"pg is None or o > {4096 - size}", "a >> 12"
-        addr = (c + imm) & _MASK64
-        off = addr & 4095
-        if off > 4096 - size:
-            return f"{addr:#x}", None, None, None
-        self.lines.append(f"pg = PG({addr >> 12:#x})")
-        return f"{addr:#x}", str(off), "pg is None", f"{addr >> 12:#x}"
 
     def _store_invalidate(self, key: tuple) -> None:
         """A store to *key* kills forwarded values it may alias: every

@@ -2,7 +2,21 @@
 
 from __future__ import annotations
 
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
+
+#: Hypothesis profile (registered in conftest.py) for the seeded deep
+#: run of the semantics checks: ``--hypothesis-profile=deep``
+DEEP_PROFILE = "deep"
+
+#: example-budget multiplier under the deep profile
+DEEP_SCALE = 20
+
+
+def examples(n: int) -> int:
+    """Example budget for a property test: *n* under the default
+    profile, ``DEEP_SCALE`` times that under the deep one."""
+    deep = settings.default is settings.get_profile(DEEP_PROFILE)
+    return n * DEEP_SCALE if deep else n
 
 _expr_leaf = st.sampled_from(["x", "y", "1", "2", "3", "7", "-1"])
 

@@ -3,8 +3,9 @@
 The paper claims new-extension support reduces to: Capstone adds the
 encodings, the SAIL pipeline regenerates semantic classes.  In this
 toolkit: rows in the opcode table + clauses in the mini-SAIL DSL +
-simulator lambdas.  These tests verify the whole stack picked the new
-extension up — decode, assemble, execute, analyze, and gate codegen.
+simulator expression-table rows.  These tests verify the whole stack
+picked the new extension up — decode, assemble, execute, analyze, and
+gate codegen.
 
 (The encode/decode roundtrip and the semantics-vs-simulator cross-check
 property tests cover Zbb automatically because they are table-driven —
