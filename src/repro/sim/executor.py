@@ -24,9 +24,11 @@ import string
 from typing import Callable, NamedTuple, TYPE_CHECKING
 
 from ..errors import ReproError
+from ..riscv.decoder import decode
 from ..riscv.encoding import sign_extend, to_unsigned
 from ..riscv.instr import Instruction
 from . import fp
+from .memory import Memory, MemoryFault
 from .timing import category_of
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -358,6 +360,18 @@ FP_CMP = {
     "flt": lambda a, b: int(a < b),
     "fle": lambda a, b: int(a <= b),
 }
+
+
+def fetch(mem: Memory, pc: int) -> Instruction:
+    """Fetch and decode the instruction at *pc* — the step shared by
+    the closure cache, the event loop and the trace compiler.  A
+    compressed instruction may end a mapped page, so a 4-byte read that
+    faults retries with 2 (raises MemoryFault or DecodeError)."""
+    try:
+        raw = mem.read_bytes(pc, 4)
+    except MemoryFault:
+        raw = mem.read_bytes(pc, 2)
+    return decode(raw, 0, pc)
 
 
 def build_body(m: "Machine", pc: int, instr: Instruction

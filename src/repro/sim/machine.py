@@ -4,18 +4,27 @@
 Linux-ish syscall layer, and exposes the debug port ProcControlAPI talks
 to (read/write registers and memory, step, run-until-event).
 
-Performance notes (per the HPC guides): the run loop binds hot
-attributes to locals, and instructions execute on three tiers —
+Execution has one path without observers and one with them, and both
+end in the same stop translation (:meth:`Machine._execute`, the one
+place that turns an exit, breakpoint or fault into a
+:class:`StopEvent`):
 
-* a per-pc closure cache (``_icache``) used for single-stepping, bounded
-  ``run(max_steps=...)``, and instructions the trace compiler rejects;
-* superblocks (:class:`repro.sim.trace.TraceCache`), used by unbounded
-  ``run()``: straight-line blocks execute as one Python function with
-  batched timing and direct chaining to successor blocks;
-* megatraces: a hot loop compiled into one looping function with
-  registers cached in locals and constants folded.
+* the **dispatch loop** (:meth:`Machine._dispatch`) runs unobserved
+  code on one of three tiers.  Unbounded ``run()`` looks each pc up in
+  the trace cache (:class:`repro.sim.trace.TraceCache`): superblocks
+  execute a straight-line block as one Python function with batched
+  timing and direct chaining to successor blocks, and megatraces
+  compile a hot loop into one looping function with registers cached
+  in locals and constants folded.  Pcs the trace compiler rejects, and
+  every pc of a bounded or budgeted run, ``step()`` or a
+  ``trace_compile=False`` machine, run the per-pc closure
+  (``_icache``), one instruction per iteration;
+* the **event loop** (:meth:`Machine._run_events`) is the closure loop
+  that emits control-flow events while observers are attached.  Only
+  block-granularity observers of an unbounded traced run stay on the
+  dispatch loop: their traces carry a compiled-in block-enter emit.
 
-All three take the ALU, shift, branch-condition and FP add/mul/FMA
+All three tiers take the ALU, shift, branch-condition and FP add/mul/FMA
 semantics from one per-mnemonic expression table
 (:data:`repro.sim.executor.TABLE`): the interpreter runs each row
 compiled to a function, the trace tiers paste it into their source.
@@ -34,6 +43,7 @@ import enum
 import os
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 from .. import telemetry
 from ..errors import ReproError
@@ -41,8 +51,8 @@ from ..telemetry.events import (
     BLOCK, BRANCH, CALL, EventStream, FAULT, JUMP, LINK_REGS, PATCH, RET,
 )
 from ..riscv.assembler import Program
-from ..riscv.decoder import DecodeError, decode
-from .executor import BreakpointHit, ExitTrap, SimFault, build_closure
+from ..riscv.decoder import DecodeError
+from .executor import BreakpointHit, ExitTrap, SimFault, build_closure, fetch
 from .memory import Memory, MemoryFault
 from .timing import P550, TimingModel, UCYCLE
 from .trace import TraceCache
@@ -105,10 +115,6 @@ def _traces_default() -> bool:
     return os.environ.get("REPRO_SIM_TRACES", "1") != "0"
 
 
-def _mega_default() -> bool:
-    return os.environ.get("REPRO_SIM_MEGATRACES", "1") != "0"
-
-
 class Machine:
     """One simulated RV64GC hart plus memory.
 
@@ -127,15 +133,14 @@ class Machine:
     megatraces:
         Enable tier-2 megatrace promotion (hot loops compiled into
         single looping functions with register caching — see
-        docs/INTERNALS.md, "JIT tiers").  Defaults to on when tracing
-        is on; set ``REPRO_SIM_MEGATRACES=0`` (or pass ``False``) to
-        cap the JIT at superblocks.  Architecturally identical either
-        way.
+        docs/INTERNALS.md, "JIT tiers").  Defaults to on; pass
+        ``False`` to cap the JIT at superblocks.  Architecturally
+        identical either way.
     """
 
     def __init__(self, timing: TimingModel = P550,
                  trace_compile: bool | None = None,
-                 megatraces: bool | None = None):
+                 megatraces: bool = True):
         self.timing = timing
         self.mem = Memory()
         self.x: list[int] = [0] * 32
@@ -157,28 +162,31 @@ class Machine:
         self.trap_redirects: dict[int, int] = {}
         self.trace_compile = (_traces_default() if trace_compile is None
                               else trace_compile)
-        self.megatraces = (_mega_default() if megatraces is None
-                           else megatraces)
+        self.megatraces = megatraces
         self.traces = TraceCache(self, mega=self.megatraces)
-        #: armed only for telemetry-observed runs: the traced dispatch
-        #: loop then counts cache hits (disabled runs skip the wrapper
-        #: entirely, so the hot loop stays wrapper-free)
-        self._count_hits = False
         #: set by the trace cache when an invalidation drops any trace;
         #: a running trace checks it after each store and exits early
         #: (state fully synced) so rewritten code is re-fetched.
         self.code_dirty = False
         # -- execution-event observers (repro.telemetry.events) --------
         #: attached EventStreams; empty on the unobserved fast path
-        #: (one ``if self._observers`` check per run() call, zero per
+        #: (one ``_emit`` check per run()/step() call, zero per
         #: instruction — see docs/INTERNALS.md, "Execution event
         #: streams")
         self._observers: list[EventStream] = []
         #: bound emit callable (fans out to every observer); None when
         #: unobserved
         self._emit = None
-        #: per-pc control-flow classification cache for the observed
-        #: interpreter loop; invalidated alongside the icache
+        #: True while an instruction-granularity observer is attached:
+        #: every observed run then takes the event loop
+        self._full_events = False
+        #: does the next instruction start a basic block?  Machine state
+        #: rather than a loop local, so slicing a run into run(k) calls
+        #: or steps leaves the event stream unchanged; set by
+        #: load_image, observer attach and trap-springboard redirects
+        self._block_start = True
+        #: per-pc control-flow classification cache for the event
+        #: loop; invalidated alongside the icache
         self._evmeta: dict[int, tuple] = {}
         #: True while a block-granularity observer is attached: the
         #: trace compiler embeds a block-enter emit in every new trace
@@ -218,6 +226,7 @@ class Machine:
         self.instret = 0
         self.exit_code = None
         self.stdout = bytearray()
+        self._block_start = True
         # full flush: compiled code binds the (re-created) register lists
         self._icache.clear()
         self._evmeta.clear()
@@ -248,12 +257,15 @@ class Machine:
         the trace cache so superblocks recompile with an embedded
         block-enter emit; attaching an instruction-granularity stream
         leaves compiled traces intact — they are simply not dispatched
-        while the observer wants per-instruction events.
+        while the observer wants per-instruction events.  The next
+        instruction executed starts a block, so the stream opens with
+        a BLOCK event.
         """
         if stream in self._observers:
             return stream
         self._observers.append(stream)
         self._rebuild_emit()
+        self._block_start = True
         return stream
 
     def detach_observer(self, stream: EventStream) -> None:
@@ -276,6 +288,7 @@ class Machine:
                 for p in _pushes:
                     p(event)
         self._emit = emit
+        self._full_events = any(s.granularity == "instruction" for s in obs)
         # block-granularity observation compiles emits *into* traces;
         # flush whenever that mode toggles or its fan-out changes so no
         # trace carries a stale (or missing) emit binding.
@@ -286,12 +299,8 @@ class Machine:
 
     def _event_meta(self, pc: int) -> tuple:
         """(event kind | None, length) of the instruction at *pc*, for
-        the observed interpreter loop; cached per pc."""
-        try:
-            raw = self.mem.read_bytes(pc, 4)
-        except MemoryFault:
-            raw = self.mem.read_bytes(pc, 2)
-        instr = decode(raw, 0, pc)
+        the event loop; cached per pc."""
+        instr = fetch(self.mem, pc)
         mn = instr.mnemonic
         kind = None
         f = instr.fields
@@ -409,12 +418,7 @@ class Machine:
     def _closure_at(self, pc: int):
         cl = self._icache.get(pc)
         if cl is None:
-            try:
-                raw = self.mem.read_bytes(pc, 4)
-            except MemoryFault:
-                raw = self.mem.read_bytes(pc, 2)  # page-end compressed instr
-            instr = decode(raw, 0, pc)
-            cl = build_closure(self, pc, instr)
+            cl = build_closure(self, pc, fetch(self.mem, pc))
             self._icache[pc] = cl
         return cl
 
@@ -425,35 +429,26 @@ class Machine:
             return False
         self.pc = target
         self.ucycles += self.timing.ucycles("system")
+        self._block_start = True
         emit = self._emit
         if emit is not None:
             emit((PATCH, pc, target, self.instret, self.ucycles))
         return True
 
     def step(self) -> StopEvent | None:
-        """Execute one instruction.  Returns a StopEvent on
+        """Execute one instruction on the path ``run(1)`` takes (minus
+        its telemetry accounting).  Returns a StopEvent on
         exit/breakpoint/fault, else None."""
-        try:
-            self._closure_at(self.pc)()
-        except ExitTrap as e:
-            self.exit_code = e.code
-            return StopEvent(StopReason.EXITED, self.pc, exit_code=e.code)
-        except BreakpointHit as e:
-            if self._redirect(e.pc):
-                return None
-            return StopEvent(StopReason.BREAKPOINT, e.pc)
-        except (SimFault, MemoryFault, DecodeError) as e:
-            return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
-        return None
+        return self._execute(1)
 
     def run(self, max_steps: int | None = None, *,
             report=None, trace: EventStream | None = None,
             max_instructions: int | None = None) -> StopEvent:
-        """Run until exit, breakpoint, fault, or *max_steps*.
+        """Run until exit, breakpoint, fault, or *max_steps* retired
+        instructions.
 
-        Unbounded runs use the superblock trace compiler (when enabled);
-        bounded runs need a per-instruction step budget and stay on the
-        closure interpreter.
+        Unbounded runs use the trace compiler (when enabled); bounded
+        runs count instructions and stay on the closure interpreter.
 
         *max_instructions* is a **hard budget**, not a cooperative
         bound: retiring that many instructions without stopping raises
@@ -461,19 +456,23 @@ class Machine:
         :class:`~repro.errors.ReproError`) after emitting a final FAULT
         event to any attached streams.  Use it to bound runaway
         mutatees; use *max_steps* to single-step or slice execution.
-        Budgeted runs count per-instruction and therefore stay on the
-        closure interpreter, like any bounded run.
+        Budgeted runs are bounded runs, so they stay on the closure
+        interpreter.
 
         *trace* attaches an :class:`~repro.telemetry.events.EventStream`
         observer for the duration of this run only (equivalent to
         :meth:`attach_observer` / :meth:`detach_observer` around the
-        call).  While any observer is attached the run loop follows the
+        call).  While any observer is attached the run follows the
         observer-overhead rule (docs/INTERNALS.md): instruction-
-        granularity streams deoptimise the run to the event-emitting
-        closure interpreter; block-granularity streams keep the trace
-        compiler engaged with one embedded block-enter emit per
-        superblock.  With no observer attached, event support costs one
-        list check per ``run()`` call — nothing per instruction.
+        granularity streams deoptimise the run to the event loop;
+        block-granularity streams keep the trace compiler engaged with
+        one embedded block-enter emit per superblock.  Slicing a run
+        into ``run(k)`` calls or :meth:`step` calls leaves an
+        instruction-granularity stream, and the block stream of an
+        untraced machine, unchanged; a traced block stream emits BLOCK
+        at every trace entry, so also where each unbounded run resumes.
+        With no observer attached, event support costs one check per
+        ``run()`` call — nothing per instruction.
 
         *report* asks for a per-run summary (instructions retired,
         simulated vs. host time, MIPS, trace-cache activity): ``True``
@@ -491,92 +490,68 @@ class Machine:
                                 max_instructions=max_instructions)
             finally:
                 self.detach_observer(trace)
-        if max_instructions is not None:
-            return self._run_budgeted(max_steps, report, max_instructions)
+        budget = max_instructions
+        if budget is not None:
+            if budget <= 0:
+                raise InstructionBudgetExceeded(self.pc, 0, budget)
+            if max_steps is not None and max_steps < budget:
+                budget = None  # the cooperative bound stops first
+            else:
+                max_steps = budget
         rec = telemetry.current()
+        instret0, ucycles0 = self.instret, self.ucycles
         if not rec.enabled and not report:
-            return self._dispatch_run(max_steps)
-        return self._run_observed(max_steps, rec, report)
-
-    def _run_budgeted(self, max_steps: int | None, report,
-                      budget: int) -> StopEvent:
-        """Run under a hard instruction budget (see :meth:`run`)."""
-        if budget <= 0:
-            raise InstructionBudgetExceeded(self.pc, 0, budget)
-        start = self.instret
-        bound = budget if max_steps is None else min(max_steps, budget)
-        ev = self.run(bound, report=report)
-        if ev.reason is StopReason.STEPS_EXHAUSTED and (
-                max_steps is None or budget <= max_steps):
-            emit = self._emit
-            if emit is not None:
-                emit((FAULT, self.pc, 0, self.instret, self.ucycles))
-            rec = telemetry.current()
+            ev = self._execute(max_steps)
+        else:
+            base = self._trace_counts()
+            t0 = time.perf_counter()
+            ev = self._execute(max_steps, count_hits=True)
+            elapsed = time.perf_counter() - t0
+        exhausted = ev is None
+        if exhausted:
+            ev = StopEvent(StopReason.STEPS_EXHAUSTED, self.pc)
+        if rec.enabled or report:
+            retired = self.instret - instret0
+            mips = retired / elapsed / 1e6 if elapsed > 0 else 0.0
+            deltas = {k: n - base[k]
+                      for k, n in self._trace_counts().items()}
+            if rec.enabled:
+                rec.record_span("sim.run", elapsed)
+                rec.count("sim.runs")
+                rec.count("sim.instructions_retired", retired)
+                rec.count("sim.ucycles", self.ucycles - ucycles0)
+                for name, n in deltas.items():
+                    rec.count(f"sim.trace.{name}", n)
+                rec.gauge("sim.mips", mips)
+            if report:
+                text = self._run_report(ev, retired, ucycles0, elapsed,
+                                        mips, deltas)
+                if report is True:
+                    print(text, end="")
+                else:
+                    report.write(text)
+        if exhausted and budget is not None:
+            if self._emit is not None:
+                self._emit((FAULT, self.pc, 0, self.instret, self.ucycles))
             if rec.enabled:
                 rec.count("sim.budget_exceeded")
             raise InstructionBudgetExceeded(
-                self.pc, self.instret - start, budget)
+                self.pc, self.instret - instret0, budget)
         return ev
 
-    def _dispatch_run(self, max_steps: int | None) -> StopEvent:
-        """Pick the run loop: the unobserved fast paths, or — with
-        observers attached — the event-emitting variants."""
-        if self._observers:
-            if any(s.granularity == "instruction"
-                   for s in self._observers):
-                # deopt: per-instruction events need the interpreter
-                return self._run_events(max_steps, full=True)
-            if max_steps is None and self.trace_compile:
-                # block granularity: traces stay hot, blocks self-emit
-                return self._run_traced()
-            return self._run_events(max_steps, full=False)
-        if max_steps is None and self.trace_compile:
-            return self._run_traced()
-        return self._run_interp(max_steps)
-
-    def _run_observed(self, max_steps: int | None, rec,
-                      report) -> StopEvent:
-        """Telemetry/reporting wrapper around the raw run loops."""
-        traces = self.traces
-        instret0, ucycles0 = self.instret, self.ucycles
-        base = (traces.compiles, traces.invalidations, traces.links,
-                traces.hits, traces.mega_compiles, traces.jalr_hits[0],
-                traces.jalr_misses[0], traces.deopt_count[0])
-        self._count_hits = rec.enabled or bool(report)
-        t0 = time.perf_counter()
-        try:
-            ev = self._dispatch_run(max_steps)
-        finally:
-            self._count_hits = False
-        elapsed = time.perf_counter() - t0
-        retired = self.instret - instret0
-        mips = retired / elapsed / 1e6 if elapsed > 0 else 0.0
-        deltas = {
-            "compiles": traces.compiles - base[0],
-            "invalidations": traces.invalidations - base[1],
-            "links": traces.links - base[2],
-            "hits": traces.hits - base[3],
-            "megatraces_compiled": traces.mega_compiles - base[4],
-            "jalr_guard_hits": traces.jalr_hits[0] - base[5],
-            "jalr_guard_misses": traces.jalr_misses[0] - base[6],
-            "deopts": traces.deopt_count[0] - base[7],
+    def _trace_counts(self) -> dict:
+        """Trace-cache statistics, by telemetry counter name."""
+        t = self.traces
+        return {
+            "compiles": t.compiles,
+            "invalidations": t.invalidations,
+            "links": t.links,
+            "hits": t.hits,
+            "megatraces_compiled": t.mega_compiles,
+            "jalr_guard_hits": t.jalr_hits[0],
+            "jalr_guard_misses": t.jalr_misses[0],
+            "deopts": t.deopt_count[0],
         }
-        if rec.enabled:
-            rec.record_span("sim.run", elapsed)
-            rec.count("sim.runs")
-            rec.count("sim.instructions_retired", retired)
-            rec.count("sim.ucycles", self.ucycles - ucycles0)
-            for name, n in deltas.items():
-                rec.count(f"sim.trace.{name}", n)
-            rec.gauge("sim.mips", mips)
-        if report:
-            text = self._run_report(ev, retired, ucycles0, elapsed, mips,
-                                    deltas)
-            if report is True:
-                print(text, end="")
-            else:
-                report.write(text)
-        return ev
 
     def _run_report(self, ev: StopEvent, retired: int, ucycles0: int,
                     elapsed: float, mips: float, deltas: dict) -> str:
@@ -601,148 +576,144 @@ class Machine:
         ]
         return "\n".join(lines) + "\n"
 
-    def _run_traced(self) -> StopEvent:
-        """Trace-mode hot loop: execute compiled superblocks, following
-        chained successors without re-entering this loop; fall back to
-        one closure step for pcs the trace compiler rejects."""
-        if self._count_hits:
-            traces = self.traces
-            raw_get = traces.fns.get
+    def _execute(self, max_steps: int | None,
+                 count_hits: bool = False) -> StopEvent | None:
+        """Run until a stop, or until *max_steps* more instructions have
+        retired (then return None), and translate how execution stopped
+        into a :class:`StopEvent` — the one place that does, for every
+        run path and :meth:`step`.  A trap-springboard redirect is not
+        a stop: execution resumes at its target, under the same bound.
 
-            def fns_get(pc):
-                fn = raw_get(pc)
-                if fn:
-                    traces.hits += 1
-                return fn
+        Observed runs take the event loop, others the dispatch loop; a
+        one-instruction unobserved run (every :meth:`step`) runs the
+        pc's closure directly, which is what one dispatch-loop
+        iteration on closures does."""
+        if max_steps is None:
+            traced = self.trace_compile
+            end = None
         else:
-            fns_get = self.traces.fns.get
-        compile_at = self.traces.compile_at
-        icache = self._icache
-        closure_at = self._closure_at
-        self.code_dirty = False
+            traced = False
+            end = self.instret + max_steps
+        events = self._emit is not None and (self._full_events
+                                             or not traced)
+        if traced:
+            self.code_dirty = False
+            if self._emit is not None and not events:
+                # block observers of a traced run: every trace entry
+                # emits BLOCK, so afterwards the next instruction
+                # starts a block
+                self._block_start = True
+        # a bounded loop retires one instruction per item of its step
+        # iterator, so the count left is end - instret
+        left = max_steps
         while True:
             try:
-                while True:
-                    fn = fns_get(self.pc)
-                    if fn is None:
-                        fn = compile_at(self.pc)
-                    if fn:
-                        while fn is not None:
-                            fn = fn()
+                if left == 1 and not events:
+                    self._closure_at(self.pc)()
+                else:
+                    steps = repeat(None) if left is None else repeat(
+                        None, left)
+                    if events:
+                        self._run_events(steps)
                     else:
-                        # negative cache entry: ecall/ebreak/csr/amo/...
-                        cl = icache.get(self.pc)
-                        if cl is None:
-                            cl = closure_at(self.pc)
-                        cl()
+                        self._dispatch(steps, traced, count_hits)
+                return None
             except ExitTrap as e:
                 self.exit_code = e.code
                 return StopEvent(StopReason.EXITED, self.pc,
                                  exit_code=e.code)
             except BreakpointHit as e:
-                if self._redirect(e.pc):
-                    continue
-                return StopEvent(StopReason.BREAKPOINT, e.pc)
+                if not self._redirect(e.pc):
+                    return StopEvent(StopReason.BREAKPOINT, e.pc)
+                if end is not None:
+                    left = end - self.instret
             except (SimFault, MemoryFault, DecodeError) as e:
                 emit = self._emit
                 if emit is not None:
                     emit((FAULT, self.pc, 0, self.instret, self.ucycles))
                 return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
 
-    def _run_events(self, max_steps: int | None, full: bool) -> StopEvent:
-        """Event-emitting closure-interpreter loop — the deopt path the
-        observer-overhead rule routes observed runs through.
+    def _dispatch(self, steps, traced: bool, count_hits: bool) -> None:
+        """The run loop without observers: look the pc up, run what is
+        there, once per item of *steps* or until a stop raises.
 
-        With ``full=True`` (any instruction-granularity observer) every
-        control-flow event is emitted: call/return/jump, taken branches,
-        block entries, faults (patch-site hits ride on
-        :meth:`_redirect`).  With ``full=False`` (block-granularity
-        observers on a *bounded* run, where the trace compiler cannot
-        engage) only block-enter and fault events are emitted.
-        """
+        With *traced*, the lookup is the trace cache: a hit runs the
+        compiled trace and its chained successors without re-entering
+        this loop, a miss compiles, and a pc the trace compiler rejects
+        runs one closure.  Otherwise the lookup is the closure cache:
+        a closure is a one-instruction trace that never chains, so each
+        iteration retires one instruction.  *count_hits*
+        (telemetry-observed runs only) binds a wrapper that counts
+        trace-cache hits."""
+        if not traced:
+            fns_get, compile_at = self._icache.get, self._closure_at
+        else:
+            traces = self.traces
+            fns_get, compile_at = traces.fns.get, traces.compile_at
+            if count_hits:
+                raw_get = fns_get
+
+                def fns_get(pc):
+                    fn = raw_get(pc)
+                    if fn:
+                        traces.hits += 1
+                    return fn
+        for _ in steps:
+            fn = fns_get(self.pc)
+            if fn is None:
+                fn = compile_at(self.pc)
+            if fn is False:
+                # negative trace entry (ecall/ebreak/csr/amo/...): the
+                # closure runs instead
+                fn = self._closure_at(self.pc)
+            while fn is not None:
+                fn = fn()
+
+    def _run_events(self, steps) -> None:
+        """The event-emitting closure loop: the deopt path the
+        observer-overhead rule routes observed runs through, one
+        instruction per item of *steps*.
+
+        Instruction-granularity observers get every control-flow event:
+        call/return/jump, taken branches and block entries (faults and
+        patch-site hits are emitted by :meth:`_execute` and
+        :meth:`_redirect`).  Block-granularity observers, on a bounded
+        or untraced run, get only block entries.  Every control-flow
+        instruction, taken or not, ends a basic block, matching the
+        compiled traces' block-enter emits."""
         emit = self._emit
+        full = self._full_events
         icache = self._icache
         closure_at = self._closure_at
         evmeta = self._evmeta
         event_meta = self._event_meta
-        remaining = max_steps
-        pending_block = True  # first executed pc starts a block
-        while True:
-            try:
-                while remaining is None or remaining > 0:
-                    pc = self.pc
-                    if pending_block:
-                        emit((BLOCK, pc, 0, self.instret, self.ucycles))
-                        pending_block = False
-                    meta = evmeta.get(pc)
-                    if meta is None:
-                        meta = event_meta(pc)
-                    cl = icache.get(pc)
-                    if cl is None:
-                        cl = closure_at(pc)
-                    cl()
-                    kind = meta[0]
-                    if kind is not None:
-                        # every control-flow instruction ends a basic
-                        # block (untaken branches included), matching
-                        # the compiled-trace block-enter emits
-                        pending_block = True
-                        if full:
-                            npc = self.pc
-                            if kind != BRANCH:
-                                emit((kind, pc, npc, self.instret,
-                                      self.ucycles))
-                            elif npc != pc + meta[1]:  # taken only
-                                emit((BRANCH, pc, npc, self.instret,
-                                      self.ucycles))
-                    if remaining is not None:
-                        remaining -= 1
-                return StopEvent(StopReason.STEPS_EXHAUSTED, self.pc)
-            except ExitTrap as e:
-                self.exit_code = e.code
-                return StopEvent(StopReason.EXITED, self.pc,
-                                 exit_code=e.code)
-            except BreakpointHit as e:
-                if self._redirect(e.pc):
-                    pending_block = True
-                    continue
-                return StopEvent(StopReason.BREAKPOINT, e.pc)
-            except (SimFault, MemoryFault, DecodeError) as e:
-                emit((FAULT, self.pc, 0, self.instret, self.ucycles))
-                return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
-
-    def _run_interp(self, max_steps: int | None = None) -> StopEvent:
-        """Seed per-pc closure loop (also the `REPRO_SIM_TRACES=0` and
-        bounded-run path)."""
-        icache = self._icache
-        closure_at = self._closure_at
-        remaining = max_steps
-        while True:
-            try:
-                if remaining is None:
-                    while True:
-                        cl = icache.get(self.pc)
-                        if cl is None:
-                            cl = closure_at(self.pc)
-                        cl()
-                else:
-                    while remaining > 0:
-                        cl = icache.get(self.pc)
-                        if cl is None:
-                            cl = closure_at(self.pc)
-                        cl()
-                        remaining -= 1
-                    return StopEvent(StopReason.STEPS_EXHAUSTED, self.pc)
-            except ExitTrap as e:
-                self.exit_code = e.code
-                return StopEvent(StopReason.EXITED, self.pc,
-                                 exit_code=e.code)
-            except BreakpointHit as e:
-                if self._redirect(e.pc):
-                    continue
-                return StopEvent(StopReason.BREAKPOINT, e.pc)
-            except (SimFault, MemoryFault, DecodeError) as e:
-                return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
+        block = self._block_start
+        try:
+            for _ in steps:
+                pc = self.pc
+                if block:
+                    emit((BLOCK, pc, 0, self.instret, self.ucycles))
+                    block = False
+                meta = evmeta.get(pc)
+                if meta is None:
+                    meta = event_meta(pc)
+                cl = icache.get(pc)
+                if cl is None:
+                    cl = closure_at(pc)
+                cl()
+                kind = meta[0]
+                if kind is not None:
+                    block = True
+                    if full:
+                        npc = self.pc
+                        if kind != BRANCH:
+                            emit((kind, pc, npc, self.instret,
+                                  self.ucycles))
+                        elif npc != pc + meta[1]:  # taken only
+                            emit((BRANCH, pc, npc, self.instret,
+                                  self.ucycles))
+        finally:
+            self._block_start = block
 
     # -- EvalState protocol (semantics cross-check) --------------------------
 

@@ -71,8 +71,12 @@ block entry/exit, any store, and any faulting load/store (a per-block
 side table maps the fault site back to precise pc/ucycles/instret, and
 the generated exception handler spills register locals — which hold
 exactly the pre-fault architectural values — before re-raising).
-Single-stepping, watchpoint runs and bounded ``run(max_steps=...)``
-stay on the per-pc closure interpreter.
+
+The cache is consulted by the machine's one dispatch loop
+(``Machine._dispatch``) on unbounded runs only; every run that counts
+instructions — ``step()``, ``run(max_steps=...)``, budgeted runs — and
+every run with an instruction-granularity observer dispatches to the
+per-pc closures instead, one instruction per iteration.
 """
 
 from __future__ import annotations
@@ -83,10 +87,10 @@ import threading
 from typing import TYPE_CHECKING
 
 from .. import faults
-from ..riscv.decoder import DecodeError, decode
+from ..riscv.decoder import DecodeError
 from . import fp
 from .executor import (
-    BRANCHES, HELPERS, LOADS, STORES, TABLE, SimFault, build_body,
+    BRANCHES, HELPERS, LOADS, STORES, TABLE, SimFault, build_body, fetch,
     upper_immediate,
 )
 from .memory import MemoryFault
@@ -213,15 +217,10 @@ class TraceCache:
     """Tiered compiled-trace cache with range invalidation, chaining
     and megatrace promotion."""
 
-    def __init__(self, machine: "Machine", max_block: int = MAX_BLOCK,
-                 mega: bool = True):
+    def __init__(self, machine: "Machine", mega: bool = True):
         self.m = machine
-        self.max_block = max_block
         #: megatrace promotion enabled (tier 2)
         self.mega_enabled = mega
-        #: back-edge executions before promotion (baked into generated
-        #: superblocks at compile time; lower it before first run)
-        self.hot_threshold = HOT_THRESHOLD
         #: entry pc -> block function (``False`` = negative entry).  The
         #: run loop binds ``fns.get``; mutate in place only.
         self.fns: dict[int, object] = {}
@@ -401,20 +400,12 @@ class TraceCache:
             self.compiles += 1
         return fn
 
-    def _fetch(self, pc: int):
-        mem = self.m.mem
-        try:
-            raw = mem.read_bytes(pc, 4)
-        except MemoryFault:
-            raw = mem.read_bytes(pc, 2)  # page-end compressed instr
-        return decode(raw, 0, pc)
-
     def _compile(self, entry: int):
         emit = _Emitter(self, entry)
         pc = entry
-        for _ in range(self.max_block):
+        for _ in range(MAX_BLOCK):
             try:
-                instr = self._fetch(pc)
+                instr = fetch(self.m.mem, pc)
             except (DecodeError, MemoryFault):
                 if emit.count == 0:
                     return False, pc
@@ -457,7 +448,7 @@ class TraceCache:
                 emit.exit_chain(pc)
                 return
             try:
-                instr = self._fetch(pc)
+                instr = fetch(self.m.mem, pc)
             except (DecodeError, MemoryFault):
                 emit.exit_plain(pc)
                 return
@@ -696,7 +687,7 @@ class _Emitter(_EmitterBase):
         k = self._chain_cell()
         self.lines.append(f"{indent}C[0] += 1")
         self.lines.append(
-            f"{indent}if C[0] >= {self.cache.hot_threshold}:")
+            f"{indent}if C[0] >= {HOT_THRESHOLD}:")
         self.lines.append(f"{indent}    C[0] = 0")
         self.lines.append(f"{indent}    return MT(S, {k}, {target:#x})")
         self._chain_return(target, indent, k)
@@ -1329,16 +1320,18 @@ class _MegaEmitter(_EmitterBase):
         body = build_body(self.m, pc, instr)  # None: untraceable
         if body is None:
             return False
-        # fallback body closures read/write the architectural x list:
-        # spill the cached registers around the call and reload the
-        # destination afterwards
+        # fallback body closures use the architectural x list: spill the
+        # cached registers before a body that reads an integer register,
+        # and reload an integer destination afterwards
+        ops = instr.spec.operands
         self._cover(pc, instr.length)
         self._fp_flush()  # the body may read or write any fr slot
         self._mark(pc)
-        self._spill_marker("")
+        if "rs1" in ops or "rs2" in ops or "rs3" in ops:
+            self._spill_marker("")
         self.lines.append(f"{self._bind_body(body)}()")
         rd = f.get("rd")
-        if rd:
+        if rd and "rd" in ops:
             self._clobber(rd)
             self.lines.append(f"r{rd} = x[{rd}]")
         self._charge(mn, instr)

@@ -11,7 +11,10 @@
 * Code memo: identical trace sources compile once per process.
 """
 
+import re
 import sys
+
+import pytest
 
 from repro.api import open_binary
 from repro.codegen import IncrementVar
@@ -138,6 +141,78 @@ out: .zero 160
         assert fregs[:10] == SPECIALS
         assert [int.from_bytes(mem[i:i + 8], "little")
                 for i in range(0, 80, 8)] == SPECIALS
+
+    def test_fp_fallback_body_keeps_integer_registers_cached(self):
+        """``fsgnj.d`` runs through an executor body that touches no
+        integer register: the megatrace neither spills the cached
+        registers around it nor reloads x5, so the ``add`` after it
+        folds to a constant."""
+        prog = assemble(f"""
+_start:
+  li t1, -3
+  fcvt.d.l f5, t1
+  li s2, 0
+  li s3, {ITERS}
+loop:
+  li x5, 7
+  fsgnj.d f5, f5, f5
+  add x6, x5, x5
+  addi s2, s2, 1
+  blt s2, s3, loop
+  li a0, 0
+  li a7, 93
+  ecall
+""")
+        trace.clear_code_memo()
+        states = []
+        for kw in ({"trace_compile": False}, {"megatraces": False}, {}):
+            m = Machine(P550, **kw)
+            m.load_program(prog)
+            states.append(_state(m, m.run()))
+        _assert_hot(m)
+        assert states[0] == states[1] == states[2]
+        assert states[0][0] is StopReason.EXITED
+        assert states[0][4][6] == 14
+        (mega,) = [src for name, src in trace._code_memo
+                   if name.startswith("<mega@")]
+        assert mega.count("r5 = x[5]") == 1  # the prologue's load only
+        assert "r5 + r5" not in mega
+        assert "r6 = 0xe" in mega
+        assert not re.search(r"x\[\d+\] = \w+\n\s*b1\(\)", mega)
+
+    @pytest.mark.parametrize("op", [
+        "fcvt.w.d t2, f5", "fmv.x.d t2, f5", "feq.d t2, f5, f6",
+        "fclass.d t2, f5", "fmv.d.x f7, t0", "fcvt.d.w f5, t2",
+        "fsqrt.d f7, f6", "fmv.w.x f7, t0", "fmv.x.w t0, f7"])
+    def test_fp_fallback_bodies_match_interpreter(self, op):
+        """FP ops outside the table that read an integer register (which
+        the megatrace holds as a constant) or write one."""
+        prog = assemble(f"""
+_start:
+  li t1, -3
+  fcvt.d.l f5, t1
+  li t1, 9
+  fcvt.d.l f6, t1
+  li s2, 0
+  li s3, {ITERS}
+loop:
+  li t0, 7
+  {op}
+  add t3, t0, t2
+  fadd.d f5, f5, f6
+  addi s2, s2, 1
+  blt s2, s3, loop
+  li a0, 0
+  li a7, 93
+  ecall
+""")
+        states = []
+        for kw in ({"trace_compile": False}, {"megatraces": False}, {}):
+            m = Machine(P550, **kw)
+            m.load_program(prog)
+            states.append(_state(m, m.run()))
+        _assert_hot(m)
+        assert states[0] == states[1] == states[2]
 
     def test_fld_fault_on_unmapped_page_is_precise(self):
         """After the loop is hot, the fld base moves to an unmapped page:
